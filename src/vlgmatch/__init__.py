@@ -7,28 +7,20 @@ exact occurrence combinations behind every match in output-proportional
 time with bounded working memory.
 """
 
-from .automaton import Automaton, OccEvent, build_automaton
-from .gapgraph import (DualLists, GraphBuilder, GraphNode, ImplicitGapGraph,
-                       build_implicit_gap_graph, iter_graph_lines,
-                       max_dual_ranges, tail_span_bounds)
-from .matcher import (MatcherState, RangeList, find_endpoints,
-                      max_live_ranges, start_pos)
-from .pattern import (GapBounds, PatternStats, PatternSyntaxError, VlgPattern,
-                      parse_pattern, pattern_stats, render_pattern)
-from .reporter import (ChunkPlan, count_combinations, expand_combinations,
-                       plan_chunks, report_chunked, report_on_the_fly)
+from .automaton import build_automaton
+from .gapgraph import GraphBuilder, build_implicit_gap_graph
+from .matcher import MatcherState, find_endpoints
+from .pattern import GapBounds, PatternSyntaxError, VlgPattern, parse_pattern
+from .reporter import (count_combinations, expand_combinations,
+                       report_chunked, report_on_the_fly)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Automaton", "OccEvent", "build_automaton",
-    "DualLists", "GraphBuilder", "GraphNode", "ImplicitGapGraph",
-    "build_implicit_gap_graph", "iter_graph_lines", "max_dual_ranges",
-    "tail_span_bounds",
-    "MatcherState", "RangeList", "find_endpoints", "max_live_ranges",
-    "start_pos",
-    "GapBounds", "PatternStats", "PatternSyntaxError", "VlgPattern",
-    "parse_pattern", "pattern_stats", "render_pattern",
-    "ChunkPlan", "count_combinations", "expand_combinations", "plan_chunks",
-    "report_chunked", "report_on_the_fly",
+    # documented in the README
+    "find_endpoints", "parse_pattern", "report_on_the_fly", "report_chunked",
+    "build_automaton", "MatcherState", "build_implicit_gap_graph",
+    "GraphBuilder", "expand_combinations", "count_combinations",
+    # types in their signatures
+    "VlgPattern", "GapBounds", "PatternSyntaxError",
 ]

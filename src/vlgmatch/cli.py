@@ -11,7 +11,8 @@ line; plain input is the whole file minus one trailing newline.
 
 Exit status 0 on success (matching nothing is success), 2 on usage errors:
 unparseable pattern, unreadable input, unbounded gaps passed to a
-combination or graph command, bad chunk length.
+combination or graph command, bad chunk length.  Where the platform has
+SIGPIPE, a closed stdout pipe ends the process silently by that signal.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ import argparse
 import io
 import json
 import os
+import signal
 import sys
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator
 
 from . import oracle
-from .gapgraph import build_implicit_gap_graph, iter_graph_lines
+from .automaton import build_automaton
+from .gapgraph import GraphBuilder, build_implicit_gap_graph, iter_graph_lines
 from .matcher import MatcherState, find_endpoints
 from .pattern import VlgPattern, parse_pattern
 from .reporter import count_combinations, report_chunked, report_on_the_fly
@@ -227,17 +230,26 @@ def _cmd_graph(args, pattern, docs, fasta) -> int:
     return 0
 
 
+def _ignore(_end: int) -> None:
+    pass
+
+
 def _cmd_stats(args, pattern, docs, fasta) -> int:
     out = sys.stdout
+    auto = build_automaton(pattern.subpatterns)
     for doc in docs:
         state = MatcherState(pattern)
-        ends = state.scan(doc.sequence)
+        process = state.process_event
+        builder = GraphBuilder(pattern) if pattern.bounded else None
+
+        def on_event(event) -> None:
+            process(event, _ignore)
+            if builder is not None:
+                builder.feed(event)
+
+        auto.stream(doc.sequence, on_event)
         counters = state.counters
-        if pattern.bounded:
-            graph = build_implicit_gap_graph(pattern, doc.sequence)
-            beta: int | None = count_combinations(graph)
-        else:
-            beta = None
+        beta = None if builder is None else count_combinations(builder.finish())
         gap_total = pattern.max_gap_sum
         rows: list[tuple[str, object]] = [
             ("n", len(doc.sequence)),
@@ -248,7 +260,7 @@ def _cmd_stats(args, pattern, docs, fasta) -> int:
             ("alpha", counters.occurrences),
             ("layer_occurrences",
              ",".join(map(str, counters.layer_occurrences))),
-            ("matches", len(ends)),
+            ("matches", counters.reported),
             ("beta", "unavailable" if beta is None else beta),
             ("peak_ranges",
              ",".join(map(str, counters.peak_ranges)) or "-"),
@@ -296,4 +308,7 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        # a reader that stops early (``| head``) ends us the way it ends cat
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from .automaton import OccEvent, build_automaton
-from .pattern import GapBounds, VlgPattern, ensure_bytes
+from .pattern import GapBounds, VlgPattern
 
 
 class GraphNode:
@@ -163,13 +163,14 @@ class GraphCounters:
 
 
 class GraphBuilder:
-    """Streaming construction of the predecessor graph.
+    """Streaming construction of the predecessor graph, and the graph itself.
 
     Feed occurrence events in position order.  With ``prune=True`` nodes
     that can no longer take part in any match ending at or after the
     current position are dropped as the scan advances, and final-layer
     nodes are handed to ``on_match`` at creation instead of being
-    retained.
+    retained.  The read methods (``layer``, ``nodes``, ``edges``,
+    ``run_between``, ...) see the nodes retained so far.
     """
 
     def __init__(self, pattern: VlgPattern, *, prune: bool = False,
@@ -185,6 +186,7 @@ class GraphBuilder:
         }
         # index 0 unused; layer lists hold retained nodes, ascending endpos
         self._nodes: list[list[GraphNode]] = [[] for _ in range(self._k + 1)]
+        # per layer, the seq of the first retained node
         self._seq_base = [0] * (self._k + 1)
         self._next_seq = [0] * (self._k + 1)
         self._live = 0
@@ -254,30 +256,26 @@ class GraphBuilder:
             self.counters.nodes_purged += removed
         return removed
 
-    def run_between(self, first: GraphNode, last: GraphNode) -> list[GraphNode]:
-        """Retained nodes of first's layer from ``first`` to ``last`` inclusive."""
-        base = self._seq_base[first.layer]
-        return self._nodes[first.layer][first.seq - base:last.seq - base + 1]
-
-    def finish(self) -> "ImplicitGapGraph":
-        return ImplicitGapGraph(self._k, self._nodes)
-
-
-class ImplicitGapGraph:
-    """Finished layered graph; nodes per layer ascend by end position."""
-
-    def __init__(self, num_layers: int,
-                 nodes_by_layer: list[list[GraphNode]]) -> None:
-        self._k = num_layers
-        self._nodes = nodes_by_layer
+    def finish(self) -> "GraphBuilder":
+        """The graph as built so far; the builder itself answers graph queries."""
+        return self
 
     @property
     def num_layers(self) -> int:
         return self._k
 
     def layer(self, index: int) -> list[GraphNode]:
-        """Nodes of one layer (1-based)."""
+        """Retained nodes of one layer (1-based), ascending by end position."""
         return self._nodes[index]
+
+    def index(self, node: GraphNode) -> int:
+        """Position of a retained node within ``layer(node.layer)``."""
+        return node.seq - self._seq_base[node.layer]
+
+    def run_between(self, first: GraphNode, last: GraphNode) -> list[GraphNode]:
+        """Retained nodes of first's layer from ``first`` to ``last`` inclusive."""
+        start = self.index(first)
+        return self._nodes[first.layer][start:start + last.seq - first.seq + 1]
 
     def nodes(self) -> Iterator[GraphNode]:
         for layer in range(1, self._k + 1):
@@ -294,25 +292,20 @@ class ImplicitGapGraph:
     def end_positions(self, layer: int) -> list[int]:
         return [node.endpos for node in self._nodes[layer]]
 
-    def run_between(self, first: GraphNode, last: GraphNode) -> list[GraphNode]:
-        # nothing is ever purged from a finished graph, so seq == index
-        return self._nodes[first.layer][first.seq:last.seq + 1]
-
 
 def build_implicit_gap_graph(pattern: VlgPattern,
-                             text: bytes | str) -> ImplicitGapGraph:
+                             text: bytes | str) -> GraphBuilder:
     """Graph of all relevant occurrences of ``pattern`` in ``text``.
 
     Relevance only looks backwards, so the graph can be nonempty even
     when the text is too short to hold a complete match.
     """
     builder = GraphBuilder(pattern)
-    build_automaton(pattern.subpatterns).stream(ensure_bytes(text),
-                                                builder.feed)
+    build_automaton(pattern.subpatterns).stream(text, builder.feed)
     return builder.finish()
 
 
-def iter_graph_lines(graph: ImplicitGapGraph) -> Iterator[str]:
+def iter_graph_lines(graph: GraphBuilder) -> Iterator[str]:
     """Plain-text dump: all node lines, then all edge lines.
 
     Nodes print as ``N <layer> <endpos>`` and edges as

@@ -17,18 +17,13 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .automaton import OccEvent, build_automaton
-from .pattern import GapBounds, VlgPattern, ensure_bytes
+from .pattern import GapBounds, VlgPattern
 
 # ranges are (start, end) tuples; end None = open-ended
 Range = tuple[int, "int | None"]
 
 # observer(phase, event, lists_snapshot); phase is "before" or "after"
 Observer = Callable[[str, OccEvent, dict[int, list[Range]]], None]
-
-
-def start_pos(endpos: int, sublen: int) -> int:
-    """1-based start of an occurrence of length ``sublen`` ending at ``endpos``."""
-    return endpos - sublen + 1
 
 
 def max_live_ranges(gap: GapBounds, next_sublen: int) -> int:
@@ -86,15 +81,6 @@ class RangeList:
         start, end = self.ranges[0]
         return start <= pos and (end is None or pos <= end)
 
-    def covers(self, pos: int) -> bool:
-        """Membership anywhere in the list (used when purging is disabled)."""
-        for start, end in self.ranges:
-            if start > pos:
-                return False
-            if end is None or pos <= end:
-                return True
-        return False
-
 
 @dataclass
 class MatchCounters:
@@ -110,15 +96,10 @@ class MatchCounters:
 
 
 class MatcherState:
-    """One streaming pass over a text for a fixed pattern.
-
-    ``purge=False`` keeps dead ranges and widens the relevance test to
-    full-list membership; output must not change, which the test suite
-    exercises as an invariant.
-    """
+    """One streaming pass over a text for a fixed pattern."""
 
     def __init__(self, pattern: VlgPattern, *,
-                 observer: Observer | None = None, purge: bool = True) -> None:
+                 observer: Observer | None = None) -> None:
         self.pattern = pattern
         self._k = pattern.num_subpatterns
         self._sublen = [len(piece) for piece in pattern.subpatterns]
@@ -130,7 +111,6 @@ class MatcherState:
             layer_occurrences=[0] * self._k,
             peak_ranges=[0] * (self._k - 1))
         self._observer = observer
-        self._purge = purge
         self._last_emit = 0
 
     def _snapshot(self) -> dict[int, list[Range]]:
@@ -150,18 +130,12 @@ class MatcherState:
             counters.layer_occurrences[layer - 1] += 1
             here = lists.get(layer)
             ahead = lists.get(layer + 1)
-            if self._purge:
-                if here is not None:
-                    counters.purged += here.purge_dead(pos)
-                if ahead is not None:
-                    counters.purged += ahead.purge_dead(pos)
-            if layer == 1:
-                relevant = True
-            else:
-                where = pos - self._sublen[layer - 1] + 1
-                relevant = (here.first_contains(where) if self._purge
-                            else here.covers(where))
-            if not relevant:
+            if here is not None:
+                counters.purged += here.purge_dead(pos)
+            if ahead is not None:
+                counters.purged += ahead.purge_dead(pos)
+            if layer > 1 and not here.first_contains(
+                    pos - self._sublen[layer - 1] + 1):
                 continue
             if layer < last_layer:
                 gap = self.pattern.gaps[layer - 1]
@@ -181,11 +155,8 @@ class MatcherState:
     def scan(self, text: bytes | str) -> list[int]:
         """Stream ``text`` and return all match end positions, ascending."""
         out: list[int] = []
-        data = ensure_bytes(text)
-        if self.pattern.literal_length > len(data):
-            return out  # no automaton needed, nothing can match
         auto = build_automaton(self.pattern.subpatterns)
-        auto.stream(data, lambda ev: self.process_event(ev, out.append))
+        auto.stream(text, lambda ev: self.process_event(ev, out.append))
         return out
 
 

@@ -18,7 +18,6 @@ about the alphabet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 # bytes that cannot appear unescaped inside a literal
 _ESCAPABLE = frozenset(b".\\{")
@@ -122,19 +121,6 @@ class VlgPattern:
         """Longest possible match length, or None with unbounded gaps."""
         total = self.max_gap_sum
         return None if total is None else self.literal_length + total
-
-
-class PatternStats(NamedTuple):
-    literal_length: int
-    num_subpatterns: int
-    min_gap_sum: int
-    max_gap_sum: int | None  # None => unbounded
-
-
-def pattern_stats(pattern: VlgPattern) -> PatternStats:
-    """Derived size quantities of a pattern."""
-    return PatternStats(pattern.literal_length, pattern.num_subpatterns,
-                        pattern.min_gap_sum, pattern.max_gap_sum)
 
 
 def parse_pattern(expr: str | bytes) -> VlgPattern:

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 from .automaton import build_automaton
-from .gapgraph import (GraphBuilder, GraphCounters, GraphNode,
-                       ImplicitGapGraph)
+from .gapgraph import GraphBuilder, GraphCounters, GraphNode
 from .pattern import VlgPattern, ensure_bytes
 
 Combination = tuple[int, ...]
@@ -28,17 +28,33 @@ Sink = Callable[[Combination], None]
 
 
 def _expand(node: GraphNode, run_between, combo: list[int], sink: Sink) -> int:
-    combo[node.layer - 1] = node.endpos
+    """Emit every combination ending in ``node``, in depth-first order.
+
+    An explicit stack replaces recursion, so the depth is not limited by
+    the interpreter; layer-2 nodes emit their layer-1 run in one loop.
+    """
     if node.layer == 1:
+        combo[0] = node.endpos
         sink(tuple(combo))
         return 1
     emitted = 0
-    for pred in run_between(node.first, node.last):
-        emitted += _expand(pred, run_between, combo, sink)
+    stack = [node]
+    pop, push = stack.pop, stack.extend
+    while stack:
+        node = pop()
+        combo[node.layer - 1] = node.endpos
+        run = run_between(node.first, node.last)
+        if node.layer > 2:
+            push(reversed(run))
+            continue
+        for pred in run:
+            combo[0] = pred.endpos
+            sink(tuple(combo))
+        emitted += len(run)
     return emitted
 
 
-def expand_combinations(graph: ImplicitGapGraph, sink: Sink) -> int:
+def expand_combinations(graph: GraphBuilder, sink: Sink) -> int:
     """Emit every combination encoded in ``graph``; returns the count."""
     combo = [0] * graph.num_layers
     emitted = 0
@@ -47,18 +63,17 @@ def expand_combinations(graph: ImplicitGapGraph, sink: Sink) -> int:
     return emitted
 
 
-def count_combinations(graph: ImplicitGapGraph) -> int:
+def count_combinations(graph: GraphBuilder) -> int:
     """Number of combinations in a finished graph, without enumerating.
 
     Path counting with prefix sums; exact (Python integers do not
     overflow), linear in the number of nodes.
     """
+    index = graph.index
     counts = [1] * len(graph.layer(1))
     for layer in range(2, graph.num_layers + 1):
-        prefix = [0]
-        for value in counts:
-            prefix.append(prefix[-1] + value)
-        counts = [prefix[node.last.seq + 1] - prefix[node.first.seq]
+        prefix = [0, *accumulate(counts)]
+        counts = [prefix[index(node.last) + 1] - prefix[index(node.first)]
                   for node in graph.layer(layer)]
     return sum(counts)
 
@@ -117,12 +132,10 @@ def report_chunked(pattern: VlgPattern, text: bytes | str, sink: Sink, *,
         raise ValueError("combination reporting requires bounded gaps")
     counters = ChunkCounters()
     text_len = len(data)
-    if pattern.literal_length > text_len:
-        return counters
     plan = plan_chunks(span, text_len, chunk_len)
     head_len = len(pattern.subpatterns[0])
     auto = build_automaton(pattern.subpatterns)
-    retained: deque[ImplicitGapGraph] = deque(maxlen=2)
+    retained: deque[GraphBuilder] = deque(maxlen=2)
     for index in range(plan.count):
         offset = index * plan.stride
         builder = GraphBuilder(pattern)
@@ -153,13 +166,11 @@ def report_on_the_fly(pattern: VlgPattern, text: bytes | str,
     Returns the graph builder's counters, whose peak_live_nodes field
     witnesses the bounded working set.
     """
-    data = ensure_bytes(text)
     combo = [0] * pattern.num_subpatterns
 
     def on_match(node: GraphNode) -> None:
         _expand(node, builder.run_between, combo, sink)
 
     builder = GraphBuilder(pattern, prune=True, on_match=on_match)
-    if pattern.literal_length <= len(data):
-        build_automaton(pattern.subpatterns).stream(data, builder.feed)
+    build_automaton(pattern.subpatterns).stream(text, builder.feed)
     return builder.counters

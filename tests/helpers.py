@@ -38,8 +38,8 @@ DUAL_PATTERN = "AC.{1,5}T"
 DUAL_TEXT = b"GACACACCTGGCATAGCCGA"
 
 
-def run_module_cli(argv: list[str]) -> subprocess.CompletedProcess:
-    """Run ``python -m vlgmatch *argv`` on the package under test.
+def module_cli_env() -> dict[str, str]:
+    """Environment for a ``python -m vlgmatch`` child on the package under test.
 
     The child's ``PYTHONPATH`` starts with the directory this process
     imported ``vlgmatch`` from, so it needs no installed console script.
@@ -48,8 +48,14 @@ def run_module_cli(argv: list[str]) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src_dir, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_module_cli(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run ``python -m vlgmatch *argv`` on the package under test."""
     return subprocess.run([sys.executable, "-m", "vlgmatch", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True,
+                          env=module_cli_env(), timeout=60)
 
 
 def make_pattern(subs: list[bytes | str],

@@ -5,13 +5,17 @@ from __future__ import annotations
 import io
 import json
 import shutil
+import signal
 import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
 
 import helpers
 from vlgmatch.cli import InputDocument, ingest_fasta, run
+from vlgmatch.oracle import occurrences_by_layer
+from vlgmatch.pattern import parse_pattern
 
 EXAMPLE = helpers.EXAMPLE_TEXT.decode()
 
@@ -179,6 +183,27 @@ def test_stats_unbounded_fields(capsys, example_file):
     assert payload["B"] is None and payload["beta"] is None
 
 
+@pytest.mark.parametrize("expr, text", [
+    ("A.{0,5}ABC", b"AB"),
+    ("ACGT.{0,2}ACGT", b"ACGT"),
+    ("GT.{1,3}GT.{0,9}GT", b"GTAGT"),
+    ("GT", b""),
+])
+def test_stats_counts_occurrences_in_text_shorter_than_pattern(
+        capsys, tmp_path, expr, text):
+    path = tmp_path / "t.txt"
+    path.write_bytes(text)
+    code, out, _ = _run(capsys, [
+        "stats", "-p", expr, "-t", str(path), "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    expected = [len(ends) for ends in
+                occurrences_by_layer(parse_pattern(expr), text)]
+    assert payload["layer_occurrences"] == expected
+    assert payload["alpha"] == sum(expected)
+    assert (payload["matches"], payload["beta"]) == (0, 0)
+
+
 def test_bad_pattern_exits_2(capsys, example_file):
     code, out, err = _run(capsys, [
         "match", "-p", "A.{5,2}B", "-t", example_file])
@@ -325,3 +350,24 @@ def test_module_entry_point_exit_status_on_usage_error(tmp_path):
     assert result.returncode == 2
     assert result.stderr.startswith("vlgmatch: ")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+def test_closed_stdout_pipe_ends_quietly(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"AC" * 50_000)  # 100,000 output lines, far over a pipe
+    child = subprocess.Popen(
+        [sys.executable, "-m", "vlgmatch", "combos", "-p", "A.{0,3}C",
+         "-t", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=helpers.module_cli_env())
+    try:
+        assert child.stdout.readline() == b"1,2\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        status = child.wait(timeout=60)
+    finally:
+        child.kill()
+        child.stderr.close()
+    assert err == b""
+    assert status == -signal.SIGPIPE

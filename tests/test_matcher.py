@@ -9,15 +9,9 @@ from hypothesis import given, settings, strategies as st
 import helpers
 from vlgmatch.automaton import OccEvent, build_automaton
 from vlgmatch.matcher import (MatcherState, RangeList, find_endpoints,
-                              max_live_ranges, start_pos)
+                              max_live_ranges)
 from vlgmatch.oracle import brute_force_endpoints
 from vlgmatch.pattern import GapBounds, parse_pattern
-
-
-def test_start_pos():
-    assert start_pos(26, 2) == 25
-    assert start_pos(1, 1) == 1
-    assert start_pos(17, 2) == 16
 
 
 def test_purge_drops_exactly_the_dead_prefix():
@@ -135,8 +129,7 @@ def test_max_live_ranges_values():
 
 def _collect_events(pattern, text):
     events = []
-    if pattern.literal_length <= len(text):
-        build_automaton(pattern.subpatterns).stream(text, events.append)
+    build_automaton(pattern.subpatterns).stream(text, events.append)
     return events
 
 
@@ -144,6 +137,34 @@ def _run_state(state, events):
     out = []
     for ev in events:
         state.process_event(ev, out.append)
+    return out
+
+
+def _run_without_purging(pattern, events):
+    """Reference decision matcher that never drops a range.
+
+    An occurrence is relevant when its start lies in any stored range of
+    its layer, not only the first one.
+    """
+    sublen = [len(piece) for piece in pattern.subpatterns]
+    last_layer = pattern.num_subpatterns
+    lists = {layer: RangeList(layer, sublen[layer - 1])
+             for layer in range(2, last_layer + 1)}
+    out = []
+    for ev in events:
+        pos = ev.position
+        for layer in ev.layers:
+            if layer > 1:
+                where = pos - sublen[layer - 1] + 1
+                if not any(start <= where and (end is None or where <= end)
+                           for start, end in lists[layer].ranges):
+                    continue
+            if layer < last_layer:
+                gap = pattern.gaps[layer - 1]
+                upper = None if gap.upper is None else pos + gap.upper + 1
+                lists[layer + 1].append_merge(pos + gap.lower + 1, upper)
+            elif not out or out[-1] != pos:
+                out.append(pos)
     return out
 
 
@@ -180,7 +201,7 @@ def test_purging_never_changes_output(seed):
                                             unbounded_share=0.2)
     events = _collect_events(pattern, text)
     with_purge = _run_state(MatcherState(pattern), events)
-    without = _run_state(MatcherState(pattern, purge=False), events)
+    without = _run_without_purging(pattern, events)
     assert with_purge == without
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vlgmatch.pattern import (GapBounds, PatternSyntaxError, VlgPattern,
-                              parse_pattern, pattern_stats, render_pattern)
+                              parse_pattern, render_pattern)
 
 
 def test_parse_three_piece_dna_pattern():
@@ -24,7 +24,8 @@ def test_parse_single_literal():
     p = parse_pattern("GT")
     assert p.subpatterns == (b"GT",)
     assert p.gaps == ()
-    assert pattern_stats(p) == (2, 1, 0, 0)
+    assert (p.literal_length, p.num_subpatterns) == (2, 1)
+    assert (p.min_gap_sum, p.max_gap_sum) == (0, 0)
 
 
 def test_parse_unbounded_gap():
@@ -33,7 +34,8 @@ def test_parse_unbounded_gap():
     assert p.max_gap_sum is None
     assert p.max_match_span is None
     assert not p.bounded
-    assert pattern_stats(p) == (2, 2, 3, None)
+    assert (p.literal_length, p.num_subpatterns) == (2, 2)
+    assert (p.min_gap_sum, p.max_gap_sum) == (3, None)
 
 
 def test_parse_zero_width_gap_concatenates():

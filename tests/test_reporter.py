@@ -67,8 +67,10 @@ def test_expansion_equals_streaming_driver():
     expanded: list[tuple[int, ...]] = []
     emitted = expand_combinations(graph, expanded.append)
     assert emitted == len(expanded) == 17
-    assert sorted(expanded) == sorted(
-        _collect(report_on_the_fly, pattern, helpers.EXAMPLE_TEXT))
+    # depth-first, predecessor runs ascending: the order both drivers keep
+    assert expanded[:3] == [(4, 6, 10, 17), (5, 6, 10, 17), (4, 8, 10, 17)]
+    assert expanded == _collect(report_on_the_fly, pattern,
+                                helpers.EXAMPLE_TEXT)
     assert count_combinations(graph) == 17
 
 
@@ -190,6 +192,19 @@ def test_many_combinations_per_match():
     assert counters.occurrences == 120
     bound = sum(1 + s for s in tail_span_bounds(pattern))
     assert counters.peak_live_nodes <= bound
+
+
+@pytest.mark.parametrize("report", [report_on_the_fly, report_chunked])
+def test_pattern_deeper_than_the_recursion_limit(report):
+    """1,200 concatenated pieces: one combination, 1,200 layers deep.
+
+    Pieces cycle through 200 byte values, so each position ends only six
+    pieces and the graph stays small.
+    """
+    pieces = [bytes([1 + i % 200]) for i in range(1200)]
+    pattern = helpers.make_pattern(pieces, [(0, 0)] * 1199)
+    text = b"".join(pieces)
+    assert _collect(report, pattern, text) == [tuple(range(1, 1201))]
 
 
 @settings(max_examples=100, deadline=None)
