@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import BinaryIO, Iterator
 
 from . import oracle
-from .automaton import build_automaton
 from .gapgraph import GraphBuilder, build_implicit_gap_graph, iter_graph_lines
 from .matcher import MatcherState, find_endpoints
 from .pattern import VlgPattern, parse_pattern
@@ -236,7 +235,6 @@ def _ignore(_end: int) -> None:
 
 def _cmd_stats(args, pattern, docs, fasta) -> int:
     out = sys.stdout
-    auto = build_automaton(pattern.subpatterns)
     for doc in docs:
         state = MatcherState(pattern)
         process = state.process_event
@@ -247,7 +245,7 @@ def _cmd_stats(args, pattern, docs, fasta) -> int:
             if builder is not None:
                 builder.feed(event)
 
-        auto.stream(doc.sequence, on_event)
+        pattern.automaton.stream(doc.sequence, on_event)
         counters = state.counters
         beta = None if builder is None else count_combinations(builder.finish())
         gap_total = pattern.max_gap_sum

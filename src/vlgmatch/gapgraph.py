@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .automaton import OccEvent, build_automaton
+from .automaton import OccEvent
 from .pattern import GapBounds, VlgPattern
 
 
@@ -301,7 +301,7 @@ def build_implicit_gap_graph(pattern: VlgPattern,
     when the text is too short to hold a complete match.
     """
     builder = GraphBuilder(pattern)
-    build_automaton(pattern.subpatterns).stream(text, builder.feed)
+    pattern.automaton.stream(text, builder.feed)
     return builder.finish()
 
 

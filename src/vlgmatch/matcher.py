@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .automaton import OccEvent, build_automaton
+from .automaton import OccEvent
 from .pattern import GapBounds, VlgPattern
 
 # ranges are (start, end) tuples; end None = open-ended
@@ -155,8 +155,8 @@ class MatcherState:
     def scan(self, text: bytes | str) -> list[int]:
         """Stream ``text`` and return all match end positions, ascending."""
         out: list[int] = []
-        auto = build_automaton(self.pattern.subpatterns)
-        auto.stream(text, lambda ev: self.process_event(ev, out.append))
+        self.pattern.automaton.stream(
+            text, lambda ev: self.process_event(ev, out.append))
         return out
 
 

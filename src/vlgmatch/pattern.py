@@ -18,6 +18,11 @@ about the alphabet.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .automaton import Automaton
 
 # bytes that cannot appear unescaped inside a literal
 _ESCAPABLE = frozenset(b".\\{")
@@ -121,6 +126,12 @@ class VlgPattern:
         """Longest possible match length, or None with unbounded gaps."""
         total = self.max_gap_sum
         return None if total is None else self.literal_length + total
+
+    @cached_property
+    def automaton(self) -> Automaton:
+        """Scanner for the pieces, built on first use and shared after."""
+        from .automaton import build_automaton  # automaton imports this module
+        return build_automaton(self.subpatterns)
 
 
 def parse_pattern(expr: str | bytes) -> VlgPattern:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, NamedTuple
 
-from .automaton import build_automaton
 from .gapgraph import GraphBuilder, GraphCounters, GraphNode
 from .pattern import VlgPattern, ensure_bytes
 
@@ -134,12 +133,11 @@ def report_chunked(pattern: VlgPattern, text: bytes | str, sink: Sink, *,
     text_len = len(data)
     plan = plan_chunks(span, text_len, chunk_len)
     head_len = len(pattern.subpatterns[0])
-    auto = build_automaton(pattern.subpatterns)
     retained: deque[GraphBuilder] = deque(maxlen=2)
     for index in range(plan.count):
         offset = index * plan.stride
         builder = GraphBuilder(pattern)
-        auto.stream(data[offset:offset + plan.length], builder.feed)
+        pattern.automaton.stream(data[offset:offset + plan.length], builder.feed)
         graph = builder.finish()
         retained.append(graph)
         counters.chunks += 1
@@ -172,5 +170,5 @@ def report_on_the_fly(pattern: VlgPattern, text: bytes | str,
         _expand(node, builder.run_between, combo, sink)
 
     builder = GraphBuilder(pattern, prune=True, on_match=on_match)
-    build_automaton(pattern.subpatterns).stream(text, builder.feed)
+    pattern.automaton.stream(text, builder.feed)
     return builder.counters

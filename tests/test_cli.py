@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import shutil
 import signal
 import subprocess
@@ -13,6 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 import helpers
+from vlgmatch.automaton import Automaton
 from vlgmatch.cli import InputDocument, ingest_fasta, run
 from vlgmatch.oracle import occurrences_by_layer
 from vlgmatch.pattern import parse_pattern
@@ -301,6 +303,29 @@ def test_fasta_stats_names_record(capsys, tmp_path):
         "stats", "-p", helpers.EXAMPLE_PATTERN, "-t", str(path)])
     assert code == 0
     assert out.startswith("record only\nn 31\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["match"], ["combos"], ["combos", "--engine", "chunked"], ["graph"],
+    ["stats"]])
+def test_one_automaton_per_command(capsys, monkeypatch, tmp_path, argv):
+    rng = random.Random(3)
+    path = tmp_path / "records.fa"
+    path.write_text("".join(
+        f">r{i}\n" + "".join(rng.choice("ACGT") for _ in range(40)) + "\n"
+        for i in range(200)))
+    built = []
+    init = Automaton.__init__
+
+    def counting_init(self, strings):
+        built.append(strings)
+        init(self, strings)
+
+    monkeypatch.setattr(Automaton, "__init__", counting_init)
+    code, out, err = _run(capsys, [
+        *argv, "-p", helpers.EXAMPLE_PATTERN, "-t", str(path)])
+    assert (code, err, bool(out)) == (0, "", True)
+    assert len(built) == 1
 
 
 def test_ingest_fasta_basics():
