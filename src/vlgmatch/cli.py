@@ -287,7 +287,8 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        pattern = parse_pattern(args.pattern)
+        # on POSIX, fsencode gives back the argument's bytes as passed
+        pattern = parse_pattern(os.fsencode(args.pattern))
         docs, fasta = _load_documents(args)
         if args.command == "match":
             return _cmd_match(args, pattern, docs, fasta)

@@ -1,4 +1,4 @@
-"""The multi-string scanner: trie shape, failure links, occurrence events."""
+"""The multi-string scanner: goto table, emitted layers, occurrence events."""
 
 from __future__ import annotations
 
@@ -16,60 +16,82 @@ _PIECE_BYTES = b"AC\x80\xff"
 _TEXT_BYTES = _PIECE_BYTES + b"\x00G\x7f\x81\xfe"
 
 
-def _states_by_path(auto):
-    return {path: state for path, state in auto.walk()}
+def _assert_table_equals_suffix_rule(strings):
+    """Check the goto table against a rule stated on the pieces alone.
+
+    The states are the distinct prefixes of the pieces.  A byte leads from
+    the state of ``path`` to the state of the longest suffix of
+    ``path + byte`` that is itself a prefix, and a state emits the layers
+    of the pieces that are suffixes of its path, ascending.  Returns the
+    automaton and the state id of every prefix.
+    """
+    auto = build_automaton(strings)
+    goto, rank = auto._goto, auto._rank
+    prefixes = {s[:i] for s in strings for i in range(len(s) + 1)}
+    ids = {}
+    for path in prefixes:
+        sid = 0
+        for byte in path:
+            sid = goto[sid + rank[byte]]
+        ids[path] = sid
+    assert len(set(ids.values())) == len(prefixes) == auto.num_states
+    for path, sid in ids.items():
+        # a suffix of path + byte is a prefix only if it drops byte and
+        # leaves a suffix of path that is a prefix too, so test just those
+        borders = [path[i:] for i in range(len(path) + 1)
+                   if path[i:] in prefixes]
+        for byte in range(256):
+            want = next((b + bytes([byte]) for b in borders
+                         if b + bytes([byte]) in prefixes), b"")
+            assert goto[sid + rank[byte]] == ids[want]
+        layers = tuple(layer for layer, s in enumerate(strings, start=1)
+                       if path.endswith(s))
+        assert (sid >= auto._limit) == bool(layers)
+        if layers:
+            assert auto._emits[sid] == layers
+    return auto, ids
 
 
-def _chain_strings(auto, state):
-    """Strings ending at this state, longest first, via the suffix chain."""
-    node = state if state.word is not None else state.out
-    out = []
-    while node is not None:
-        out.append(auto.strings[node.word])
-        node = node.out
-    return out
+def _row(auto, sid):
+    """Next state for every byte value, from state ``sid``."""
+    return [auto._goto[sid + auto._rank[byte]] for byte in range(256)]
 
 
 def test_trie_shape_for_example_strings():
-    auto = build_automaton([b"A", b"CC", b"GT"])
-    assert auto.num_states == 6  # root, A, C, CC, G, GT
-    states = _states_by_path(auto)
-    assert set(states) == {b"", b"A", b"C", b"CC", b"G", b"GT"}
-    root = states[b""]
+    auto, ids = _assert_table_equals_suffix_rule([b"A", b"CC", b"GT"])
+    assert auto.num_states == 6
+    assert set(ids) == {b"", b"A", b"C", b"CC", b"G", b"GT"}
+    # A, C and G fail to the root: off their own child, they step as it does
+    root = _row(auto, 0)
     for path in (b"A", b"C", b"G"):
-        assert states[path].fail is root
+        row = _row(auto, ids[path])
+        for byte in range(256):
+            if path + bytes([byte]) not in ids:
+                assert row[byte] == root[byte]
 
 
 def test_failure_link_to_longest_proper_suffix():
-    auto = build_automaton([b"AB", b"B"])
-    states = _states_by_path(auto)
-    assert states[b"AB"].fail is states[b"B"]
-    assert _chain_strings(auto, states[b"AB"]) == [b"AB", b"B"]
+    auto, ids = _assert_table_equals_suffix_rule([b"AB", b"B"])
+    # AB has no child, so it steps exactly as its failure state B
+    assert _row(auto, ids[b"AB"]) == _row(auto, ids[b"B"])
+    assert auto._emits[ids[b"AB"]] == (1, 2)
 
 
 def test_suffix_chain_is_longest_first():
-    auto = build_automaton([b"ABCC", b"CC", b"C"])
-    states = _states_by_path(auto)
-    assert _chain_strings(auto, states[b"ABCC"]) == [b"ABCC", b"CC", b"C"]
-    assert _chain_strings(auto, states[b"CC"]) == [b"CC", b"C"]
+    auto, ids = _assert_table_equals_suffix_rule([b"ABCC", b"CC", b"C"])
+    assert auto._emits[ids[b"ABCC"]] == (1, 2, 3)
+    assert auto._emits[ids[b"CC"]] == (2, 3)
 
 
 def test_single_string_chain():
-    auto = build_automaton([b"X"])
-    states = _states_by_path(auto)
-    assert _chain_strings(auto, states[b"X"]) == [b"X"]
+    auto, ids = _assert_table_equals_suffix_rule([b"X"])
+    assert auto._emits[ids[b"X"]] == (1,)
 
 
 @given(st.lists(st.text(alphabet="ACGT", min_size=1, max_size=6),
                 min_size=1, max_size=5))
 def test_suffix_chains_match_brute_force(raw):
-    strings = [s.encode() for s in raw]
-    auto = build_automaton(strings)
-    distinct = set(strings)
-    for path, state in auto.walk():
-        expected = sorted((s for s in distinct if path.endswith(s)),
-                          key=len, reverse=True)
-        assert _chain_strings(auto, state) == expected
+    _assert_table_equals_suffix_rule([s.encode() for s in raw])
 
 
 def test_stream_example_text_events():
@@ -84,14 +106,13 @@ def test_stream_example_text_events():
     assert by_layer[2] == [9, 14, 20, 21, 26]
     assert by_layer[3] == [17, 23, 28, 31]
     assert sum(len(ev.layers) for ev in events) == 14
-    assert counters.positions == 31
-    assert counters.failure_steps <= counters.positions
+    assert counters == (31, 0)
 
 
 def test_duplicate_strings_share_one_event():
-    auto = build_automaton([b"A", b"A"])
-    assert auto.strings == (b"A",)
-    assert auto.layers_of(0) == (1, 2)
+    auto, ids = _assert_table_equals_suffix_rule([b"A", b"A"])
+    assert auto.num_states == 2
+    assert auto._emits[ids[b"A"]] == (1, 2)
     events = []
     auto.stream(b"GA", events.append)
     assert events == [(2, (1, 2))]
@@ -110,6 +131,10 @@ def test_overlapping_occurrences():
     events = []
     auto.stream(b"CCC", events.append)
     assert [ev.position for ev in events] == [2, 3]
+    # a two-byte repetitive text, dense with overlapping hits of all three
+    rng = random.Random(7)
+    text = bytes(rng.choice(b"AB") for _ in range(5000))
+    _assert_stream_equals_naive([b"ABAB", b"BABA", b"AA"], text)
 
 
 def test_empty_text_is_silent():
@@ -141,8 +166,7 @@ def _assert_stream_equals_naive(strings, text):
                 for layer, s in enumerate(strings, start=1)
                 for end in naive_occurrences(s, text)]
     assert sorted(got) == sorted(expected)
-    assert counters.positions == len(text)
-    assert counters.failure_steps <= len(text)
+    assert counters == (len(text), 0)
     return expected
 
 
@@ -189,61 +213,18 @@ def test_stream_across_translate_blocks():
             (3, 2 * _BLOCK + 1), (4, 2 * _BLOCK + 1)} <= set(expected)
 
 
-def _reference_step(root, state, byte):
-    """One transition by walking failure links, as the trie defines it."""
-    while True:
-        nxt = state.child(byte)
-        if nxt is not None:
-            return nxt
-        if state is root:
-            return root
-        state = state.fail
-
-
-def _assert_table_equals_failure_walk(strings):
-    auto = build_automaton(strings)
-    goto, rank = auto._goto, auto._rank
-    states = _states_by_path(auto)
-    ids = {}
-    for path, state in states.items():
-        sid = 0
-        for byte in path:
-            sid = goto[sid + rank[byte]]
-        ids[state] = sid
-    assert len(set(ids.values())) == auto.num_states
-    root = states[b""]
-    for state, sid in ids.items():
-        for byte in range(256):
-            want = _reference_step(root, state, byte)
-            assert goto[sid + rank[byte]] == ids[want]
-        chain = _chain_strings(auto, state)
-        assert (sid >= auto._limit) == bool(chain)
-        if chain:
-            layers = sorted(layer for layer, s in enumerate(strings, start=1)
-                            if s in chain)
-            assert auto._emits[sid] == tuple(layers)
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(_nested_pieces(),
                  st.lists(_byte_strings(_TEXT_BYTES, 1, 5), min_size=1,
                           max_size=5)))
-def test_goto_table_equals_failure_link_walk(strings):
-    _assert_table_equals_failure_walk(strings)
+def test_goto_table_equals_suffix_rule(strings):
+    _assert_table_equals_suffix_rule(strings)
 
 
 def test_goto_table_over_all_256_bytes():
     # no byte is absent, so every column is some piece byte
     strings = [bytes(range(256)), bytes(range(255, -1, -3)), b"\x00\x00"]
-    _assert_table_equals_failure_walk(strings)
+    _assert_table_equals_suffix_rule(strings)
     rng = random.Random(5)
     text = bytes(rng.randrange(256) for _ in range(2000)) + bytes(range(256))
     _assert_stream_equals_naive(strings, text)
-
-
-def test_failure_steps_amortized_on_repetitive_text():
-    rng = random.Random(7)
-    text = bytes(rng.choice(b"AB") for _ in range(5000))
-    auto = build_automaton([b"ABAB", b"BABA", b"AA"])
-    counters = auto.stream(text, lambda ev: None)
-    assert counters.failure_steps <= counters.positions == 5000

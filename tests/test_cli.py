@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
 import shutil
 import signal
@@ -375,6 +376,19 @@ def test_module_entry_point_exit_status_on_usage_error(tmp_path):
     assert result.returncode == 2
     assert result.stderr.startswith("vlgmatch: ")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.skipif(os.name != "posix", reason="argv bytes are POSIX")
+def test_pattern_argument_bytes_outside_utf8(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"GA\xffC")
+    result = subprocess.run(
+        [sys.executable, "-m", "vlgmatch", "match", "-p", b"A\xffC",
+         "-t", str(path)],
+        capture_output=True, env=helpers.module_cli_env(), timeout=60)
+    assert result.stderr == b""
+    assert result.returncode == 0
+    assert result.stdout == b"4\n"
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
