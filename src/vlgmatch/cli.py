@@ -3,6 +3,10 @@
 Subcommands: match (end positions), combos (full combinations), graph
 (predecessor graph dump), stats (size and occurrence counters), and
 oracle match / oracle combos (brute-force reference, same output shapes).
+match and combos run the bit-parallel engine (``bitvec``) when the pattern
+has few distinct bytes and few literal bytes, and the paper's streaming
+engine otherwise; ``combos --engine`` forces one of the paper's engines.
+Both give the same lines in the same order.
 
 Input is a file path or "-" for stdin.  FASTA input (enabled by --fasta or
 auto-detected from a leading ">") is searched record by record with
@@ -24,9 +28,9 @@ import os
 import signal
 import sys
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
-from . import oracle
+from . import bitvec, oracle
 from .gapgraph import GraphBuilder, build_implicit_gap_graph, iter_graph_lines
 from .matcher import MatcherState, find_endpoints
 from .pattern import VlgPattern, parse_pattern
@@ -100,7 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_combos = sub.add_parser("combos", help="print full match combinations")
     common(p_combos)
     p_combos.add_argument("--engine", choices=("onthefly", "chunked"),
-                          default="onthefly")
+                          help="force one of the paper's engines (default: the "
+                               "bit-parallel engine for patterns with few "
+                               "distinct bytes and short pieces, else onthefly)")
     p_combos.add_argument("--chunk-len", type=int, default=None,
                           help="chunk length for the chunked engine "
                                "(test hook; must cover the maximum match span)")
@@ -121,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_documents(args: argparse.Namespace) -> tuple[list[InputDocument], bool]:
+def _load_documents(args: argparse.Namespace) -> tuple[Iterable[InputDocument], bool]:
     if args.text == "-":
         raw = sys.stdin.buffer.read()
         name = "-"
@@ -130,7 +136,8 @@ def _load_documents(args: argparse.Namespace) -> tuple[list[InputDocument], bool
             raw = handle.read()
         name = os.path.basename(args.text)
     if args.fasta or raw.startswith(b">"):
-        return list(ingest_fasta(io.BytesIO(raw))), True
+        # parsed as the commands ask, so one record is held at a time
+        return ingest_fasta(io.BytesIO(raw)), True
     if raw.endswith(b"\r\n"):
         raw = raw[:-2]
     elif raw.endswith(b"\n"):
@@ -143,37 +150,56 @@ def _require_bounded(pattern: VlgPattern, what: str) -> None:
         raise ValueError(f"{what} requires bounded gap upper bounds")
 
 
+def _record(fasta: bool, ident: str) -> str:
+    return f'"record": {json.dumps(ident)}, ' if fasta else ""
+
+
+def _end_format(args, fasta: bool, ident: str) -> tuple[str, str]:
+    """(head, close): an end's line is head + end + close."""
+    if args.format == "json":
+        return "{" + _record(fasta, ident) + '"end": ', "}\n"
+    return (f"{ident}:" if fasta else ""), "\n"
+
+
+def _combo_format(args, fasta: bool, ident: str) -> tuple[str, str, str]:
+    """(head, sep, close): a combination's line is head + sep.join(ends) + close."""
+    if args.format == "json":
+        return "{" + _record(fasta, ident) + '"ends": [', ", ", "]}\n"
+    return (f"{ident}:" if fasta else ""), ",", "\n"
+
+
 def _emit_ends(args, docs, fasta, ends_of) -> int:
-    out = sys.stdout
+    write = sys.stdout.write
     for doc in docs:
+        head, close = _end_format(args, fasta, doc.ident)
         for end in ends_of(doc):
-            if args.format == "json":
-                payload = {"record": doc.ident, "end": end} if fasta else {"end": end}
-                out.write(json.dumps(payload) + "\n")
-            else:
-                prefix = f"{doc.ident}:" if fasta else ""
-                out.write(f"{prefix}{end}\n")
+            write(f"{head}{end}{close}")
     return 0
 
 
 def _emit_combos(args, docs, fasta, run) -> int:
-    out = sys.stdout
+    write = sys.stdout.write
     for doc in docs:
-        prefix = f"{doc.ident}:" if fasta else ""
+        head, sep, close = _combo_format(args, fasta, doc.ident)
+        run(doc, lambda combo: write(head + sep.join(map(str, combo)) + close))
+    return 0
 
-        def sink(combo: tuple[int, ...]) -> None:
-            if args.format == "json":
-                payload = ({"record": doc.ident, "ends": list(combo)} if fasta
-                           else {"ends": list(combo)})
-                out.write(json.dumps(payload) + "\n")
-            else:
-                out.write(prefix + ",".join(map(str, combo)) + "\n")
 
-        run(doc, sink)
+def _emit_runs(args, docs, fasta, plan: bitvec.BitPlan) -> int:
+    """Write each run of combinations with one join and one write."""
+    write = sys.stdout.write
+    for doc in docs:
+        head, sep, close = _combo_format(args, fasta, doc.ident)
+        for suffix, firsts in plan.runs(doc.sequence):
+            tail = sep.join(["", *map(str, suffix)]) + close
+            write(head + (tail + head).join(map(str, firsts)) + tail)
     return 0
 
 
 def _cmd_match(args, pattern, docs, fasta) -> int:
+    if bitvec.suits(pattern):
+        plan = pattern.bitplan
+        return _emit_ends(args, docs, fasta, lambda doc: plan.ends(doc.sequence))
     return _emit_ends(args, docs, fasta,
                       lambda doc: find_endpoints(pattern, doc.sequence))
 
@@ -185,6 +211,8 @@ def _cmd_oracle_match(args, pattern, docs, fasta) -> int:
 
 def _cmd_combos(args, pattern, docs, fasta) -> int:
     _require_bounded(pattern, "combination reporting")
+    if args.engine is None and bitvec.suits(pattern):
+        return _emit_runs(args, docs, fasta, pattern.bitplan)
 
     def run(doc, sink):
         if args.engine == "chunked":

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable
 
 import vlgmatch
 from vlgmatch.oracle import combination_count
@@ -56,6 +57,14 @@ def run_module_cli(argv: list[str]) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "vlgmatch", *argv],
                           capture_output=True, text=True,
                           env=module_cli_env(), timeout=60)
+
+
+def report_bits(pattern: VlgPattern, text: bytes,
+                sink: Callable[[tuple[int, ...]], None]) -> None:
+    """The bit engine's combinations as tuples, in the order of its runs."""
+    for suffix, firsts in pattern.bitplan.runs(text):
+        for first in firsts:
+            sink((first, *suffix))
 
 
 def make_pattern(subs: list[bytes | str],

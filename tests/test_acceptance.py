@@ -112,6 +112,10 @@ def test_criterion_05_engines_equal_oracle_on_corpus(corpus):
             report_chunked(pattern, text, chunked.append)
             assert sorted({c[-1] for c in chunked}) == expected
             assert set(chunked) == set(streamed)
+            assert list(pattern.bitplan.ends(text)) == expected
+            bits: list[tuple[int, ...]] = []
+            helpers.report_bits(pattern, text, bits.append)
+            assert bits == streamed
         elapsed = time.perf_counter() - started
         saw_fixed_gap = saw_zero_lower = False
         for pattern, text in corpus:

@@ -1,0 +1,183 @@
+"""Bit-parallel engine: differential tests against the oracle and the streaming engine."""
+
+from __future__ import annotations
+
+import random
+import tracemalloc
+from collections import deque
+
+from hypothesis import given, settings, strategies as st
+
+import helpers
+from vlgmatch.bitvec import MIN_BLOCK, BitPlan
+from vlgmatch.oracle import brute_force_endpoints, combination_count
+from vlgmatch.pattern import GapBounds, VlgPattern
+from vlgmatch.reporter import report_on_the_fly
+
+ALPHABETS = [b"AC", b"ACGT", bytes(range(0x80, 0x88)), bytes(range(256))]
+HUGE = 10**9
+
+
+def _streamed(pattern: VlgPattern, text: bytes) -> list[tuple[int, ...]]:
+    out: list[tuple[int, ...]] = []
+    report_on_the_fly(pattern, text, out.append)
+    return out
+
+
+def _bits(pattern: VlgPattern, text: bytes) -> list[tuple[int, ...]]:
+    out: list[tuple[int, ...]] = []
+    helpers.report_bits(pattern, text, out.append)
+    return out
+
+
+def _plant(rng: random.Random, text: bytearray, pattern: VlgPattern,
+           start: int) -> None:
+    """Write one match of ``pattern`` into ``text`` from 0-based ``start``."""
+    pos = start
+    for i, piece in enumerate(pattern.subpatterns):
+        if i:
+            gap = pattern.gaps[i - 1]
+            pos += rng.randint(gap.lower, gap.lower + 6 if gap.upper is None
+                               else min(gap.upper, gap.lower + 6))
+        text[pos:pos + len(piece)] = piece
+        pos += len(piece)
+
+
+def _instance(seed: int) -> tuple[VlgPattern, bytes]:
+    """A random pattern and a text, often over three blocks with matches
+    planted across the block boundaries.
+
+    Pieces are 1 to 4 bytes, some cut from the text and some suffixes of
+    the piece before; gaps are bounded, unbounded or have bounds near 10**9.
+    """
+    rng = random.Random(seed)
+    alphabet = rng.choice(ALPHABETS)
+    long_text = rng.random() < 0.5
+    size = (rng.randint(3 * MIN_BLOCK, 3 * MIN_BLOCK + 500) if long_text
+            else rng.randint(0, 200))
+    text = bytearray(rng.choices(alphabet, k=size))
+    pieces: list[bytes] = []
+    for _ in range(rng.randint(1, 4)):
+        width = rng.randint(1, 4)
+        choice = rng.random()
+        if pieces and choice < 0.2:
+            pieces.append(pieces[-1][-rng.randint(1, len(pieces[-1])):])
+        elif size >= width and choice < 0.6:
+            at = rng.randrange(size - width + 1)
+            pieces.append(bytes(text[at:at + width]))
+        else:
+            pieces.append(bytes(rng.choices(alphabet, k=width)))
+    gaps = []
+    for _ in pieces[1:]:
+        kind = rng.random()
+        if kind < 0.2:
+            gaps.append(GapBounds(rng.randint(0, 6), None))
+        elif kind < 0.3:
+            lower = rng.choice([0, HUGE - rng.randint(0, 6)])
+            gaps.append(GapBounds(lower, HUGE))
+        else:
+            lower = rng.randint(0, 6)
+            gaps.append(GapBounds(lower, lower + rng.randint(0, 6)))
+    pattern = VlgPattern(tuple(pieces), tuple(gaps))
+    for boundary in range(MIN_BLOCK, size, MIN_BLOCK):
+        if rng.random() < 0.8:
+            _plant(rng, text, pattern, boundary - rng.randint(1, 12))
+    return pattern, bytes(text[:size])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_ends_equal_the_oracle(seed):
+    pattern, text = _instance(seed)
+    assert list(pattern.bitplan.ends(text)) == brute_force_endpoints(pattern, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_runs_equal_report_on_the_fly_in_order(seed):
+    pattern, text = _instance(seed)
+    if not pattern.bounded:
+        pattern = VlgPattern(pattern.subpatterns, tuple(
+            GapBounds(g.lower, g.lower + 3) if g.upper is None else g
+            for g in pattern.gaps))
+    if combination_count(pattern, text) > 50_000:
+        text = text[:200]
+    assert _bits(pattern, text) == _streamed(pattern, text)
+
+
+def test_matches_straddle_every_block_boundary():
+    pattern = helpers.make_pattern(["GATT", "CA", "TTG"], [(3, 9), (0, 4)])
+    rng = random.Random(7)
+    text = bytearray(rng.choices(b"AC", k=4 * MIN_BLOCK + 100))
+    for boundary in range(MIN_BLOCK, len(text), MIN_BLOCK):
+        for back in (1, 5, 10):  # every match spans at least 12 bytes
+            _plant(rng, text, pattern, boundary - back)
+    text = bytes(text)
+    expected = brute_force_endpoints(pattern, text)
+    assert list(pattern.bitplan.ends(text)) == expected
+    span = pattern.max_match_span
+    for boundary in range(MIN_BLOCK, len(text), MIN_BLOCK):
+        assert any(boundary < end <= boundary + span for end in expected)
+    combos = _bits(pattern, text)
+    assert combos == _streamed(pattern, text)
+    assert any(c[0] <= MIN_BLOCK < c[-1] for c in combos)
+
+
+def test_single_piece_and_suffix_pieces():
+    text = b"CACACAACA" * 300
+    for pieces, gaps in ((["ACA"], []), (["CA", "ACA", "A"], [(0, 2), (0, 0)]),
+                         (["A", "CA", "ACA"], [(0, 3), (1, 4)])):
+        pattern = helpers.make_pattern(pieces, gaps)
+        assert list(pattern.bitplan.ends(text)) == brute_force_endpoints(pattern, text)
+        assert _bits(pattern, text) == _streamed(pattern, text)
+
+
+def test_gap_bounds_near_a_billion_build_no_huge_ints():
+    rng = random.Random(1)
+    text = bytes(rng.choices(b"ACGT", k=3 * MIN_BLOCK + 17))
+    for gaps in ([(HUGE - 5, HUGE)], [(0, HUGE)], [(HUGE, None)], [(0, None)]):
+        pattern = helpers.make_pattern(["AC", "GT"], gaps)
+        plan = BitPlan(pattern)
+        tracemalloc.start()
+        ends = list(plan.ends(text))
+        combos = _bits(pattern, text) if pattern.bounded else []
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert ends == brute_force_endpoints(pattern, text)
+        if pattern.bounded:
+            assert combos == _streamed(pattern, text)
+        assert peak < 4_000_000, gaps
+
+
+def test_every_byte_value():
+    text = bytes(range(256)) * 13
+    pattern = helpers.make_pattern([b"\xfe\xff", b"\x00", b"\x80\x81"],
+                                   [(0, 0), (100, 200)])
+    expected = brute_force_endpoints(pattern, text)
+    assert expected
+    assert list(pattern.bitplan.ends(text)) == expected
+    assert _bits(pattern, text) == _streamed(pattern, text)
+
+
+def _dna(rng: random.Random, size: int) -> bytes:
+    return rng.randbytes(size).translate(bytes(b"ACGT"[c % 4] for c in range(256)))
+
+
+def test_memory_flat_in_text_length():
+    """tracemalloc peak, text excluded, stays within a fixed budget from
+    250 kB to 2 MB; one bit per text position would be 250 kB at 2 MB."""
+    pattern = helpers.make_pattern(["ACG", "TGC", "GG", "TTA", "CA"],
+                                   [(2, 9), (0, 5), (3, 8), (1, 6)])
+    plan = pattern.bitplan
+    drain = deque(maxlen=0).extend
+    rng = random.Random(0)
+    peaks: dict[str, list[int]] = {"ends": [], "runs": []}
+    for size in (250_000, 2_000_000):
+        text = _dna(rng, size)
+        for name, run in (("ends", plan.ends), ("runs", plan.runs)):
+            tracemalloc.start()
+            drain(run(text))
+            peaks[name].append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    for name, sizes in peaks.items():
+        assert max(sizes) < 32_000, (name, sizes)

@@ -10,12 +10,15 @@ import shutil
 import signal
 import subprocess
 import sys
+import weakref
 from types import SimpleNamespace
 
 import pytest
 
 import helpers
 from vlgmatch.automaton import Automaton
+from vlgmatch.bitvec import BitPlan
+from vlgmatch import bitvec, cli
 from vlgmatch.cli import InputDocument, ingest_fasta, run
 from vlgmatch.oracle import occurrences_by_layer
 from vlgmatch.pattern import parse_pattern
@@ -308,7 +311,7 @@ def test_fasta_stats_names_record(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["match"], ["combos"], ["combos", "--engine", "chunked"], ["graph"],
-    ["stats"]])
+    ["stats"], ["combos", "--engine", "onthefly"]])
 def test_one_automaton_per_command(capsys, monkeypatch, tmp_path, argv):
     rng = random.Random(3)
     path = tmp_path / "records.fa"
@@ -322,11 +325,108 @@ def test_one_automaton_per_command(capsys, monkeypatch, tmp_path, argv):
         built.append(strings)
         init(self, strings)
 
+    planned = []
+    plan_init = BitPlan.__init__
+
+    def counting_plan_init(self, pattern):
+        planned.append(pattern)
+        plan_init(self, pattern)
+
     monkeypatch.setattr(Automaton, "__init__", counting_init)
+    monkeypatch.setattr(BitPlan, "__init__", counting_plan_init)
     code, out, err = _run(capsys, [
         *argv, "-p", helpers.EXAMPLE_PATTERN, "-t", str(path)])
     assert (code, err, bool(out)) == (0, "", True)
-    assert len(built) == 1
+    if argv in (["match"], ["combos"]):  # the bit engine's choice
+        assert (len(built), len(planned)) == (0, 1)
+    else:
+        assert (len(built), len(planned)) == (1, 0)
+
+
+def test_fasta_records_parsed_one_at_a_time(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "r.fa"
+    path.write_bytes(b"".join(b">r%d\n%s\n" % (i, helpers.EXAMPLE_TEXT)
+                              for i in range(30)))
+    real = cli.ingest_fasta
+    alive: list[weakref.ref] = []
+    most = 0
+
+    def watched(stream):
+        nonlocal most
+        for doc in real(stream):
+            alive.append(weakref.ref(doc))
+            most = max(most, sum(ref() is not None for ref in alive))
+            yield doc
+
+    monkeypatch.setattr(cli, "ingest_fasta", watched)
+    for command in ("match", "combos", "stats"):
+        alive.clear()
+        code, out, err = _run(capsys, [
+            command, "-p", helpers.EXAMPLE_PATTERN, "-t", str(path)])
+        assert (code, err) == (0, "")
+        assert len(alive) == 30 and out.count("r29") == out.count("r0") > 0
+        # the record being handed over, and the one just written
+        assert most <= 2, command
+
+
+@pytest.mark.parametrize("argv", [
+    ["match"], ["combos"], ["combos", "--engine", "onthefly"],
+    ["combos", "--engine", "chunked"]])
+def test_json_lines_equal_json_dumps(capsys, tmp_path, argv):
+    idents = ['quo"te', "back\\slash", "n\u00efve\u2603", "\ufffd"]
+    path = tmp_path / "r.fa"
+    path.write_bytes(b"".join(
+        b">" + ident.encode() + b" description\n" + helpers.EXAMPLE_TEXT + b"\n"
+        for ident in idents[:3]) + b">\xff\n" + helpers.EXAMPLE_TEXT + b"\n")
+    code, out, _ = _run(capsys, [
+        *argv, "-p", helpers.EXAMPLE_PATTERN, "-t", str(path), "--format", "json"])
+    assert code == 0
+    if argv == ["match"]:
+        rows = [{"record": ident, "end": end}
+                for ident in idents for end in (17, 28, 31)]
+    else:
+        combos = [(1, 9, 17), (12, 20, 28), (12, 21, 28), (18, 26, 31)]
+        rows = [{"record": ident, "ends": list(combo)}
+                for ident in idents for combo in combos]
+    assert out == "".join(json.dumps(row) + "\n" for row in rows)
+    plain = tmp_path / "t.txt"
+    plain.write_bytes(helpers.EXAMPLE_TEXT)
+    code, out, _ = _run(capsys, [
+        *argv, "-p", helpers.EXAMPLE_PATTERN, "-t", str(plain), "--format", "json"])
+    assert out == "".join(json.dumps({key: value for key, value in row.items()
+                                      if key != "record"}) + "\n"
+                          for row in rows[:len(rows) // 4])
+
+
+def _pieces_of(alphabet: bytes, size: int) -> bytes:
+    return bytes(alphabet[i % len(alphabet)] for i in range(size))
+
+
+@pytest.mark.parametrize("literal, bits", [
+    (_pieces_of(b"ACGTNRYKMS"[:bitvec.MAX_SIGMA], bitvec.MAX_LITERAL), True),
+    (_pieces_of(bytes(range(65, 66 + bitvec.MAX_SIGMA)), 30), False),
+    (_pieces_of(b"ACGT", bitvec.MAX_LITERAL + 1), False),
+    (bytes(random.Random(4).choices(b"ACGT", k=20_000)), False),
+])
+def test_engine_choice_at_the_limits(capsys, monkeypatch, tmp_path, literal, bits):
+    text = b"GA" + literal + b"TTC" + literal[:-1] + b"!" + literal
+    path = tmp_path / "t.txt"
+    path.write_bytes(text)
+    built = []
+    init = Automaton.__init__
+
+    def counting_init(self, strings):
+        built.append(strings)
+        init(self, strings)
+
+    monkeypatch.setattr(Automaton, "__init__", counting_init)
+    for command in ("match", "combos"):
+        built.clear()
+        code, out, err = _run(capsys, [
+            command, "-p", literal.decode(), "-t", str(path)])
+        assert (code, err) == (0, "")
+        assert out.split() == [str(2 + len(literal)), str(len(text))]
+        assert len(built) == (0 if bits else 1), command
 
 
 def test_ingest_fasta_basics():

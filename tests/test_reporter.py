@@ -194,7 +194,8 @@ def test_many_combinations_per_match():
     assert counters.peak_live_nodes <= bound
 
 
-@pytest.mark.parametrize("report", [report_on_the_fly, report_chunked])
+@pytest.mark.parametrize("report", [report_on_the_fly, report_chunked,
+                                    helpers.report_bits])
 def test_pattern_deeper_than_the_recursion_limit(report):
     """1,200 concatenated pieces: one combination, 1,200 layers deep.
 
