@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator
 
-from . import bitvec, oracle
+from . import bitvec
 from .gapgraph import GraphBuilder, build_implicit_gap_graph, iter_graph_lines
 from .matcher import MatcherState, find_endpoints
 from .pattern import VlgPattern, parse_pattern
@@ -205,6 +205,7 @@ def _cmd_match(args, pattern, docs, fasta) -> int:
 
 
 def _cmd_oracle_match(args, pattern, docs, fasta) -> int:
+    from . import oracle  # compiled only when asked for, to keep start-up short
     return _emit_ends(args, docs, fasta,
                       lambda doc: oracle.brute_force_endpoints(pattern, doc.sequence))
 
@@ -224,6 +225,7 @@ def _cmd_combos(args, pattern, docs, fasta) -> int:
 
 
 def _cmd_oracle_combos(args, pattern, docs, fasta) -> int:
+    from . import oracle  # compiled only when asked for, to keep start-up short
     _require_bounded(pattern, "combination reporting")
 
     def run(doc, sink):
