@@ -3,18 +3,18 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_ab.py --parent REV --label L [--change REV]
-        [--seeds 1 2 3] [--seconds 35] [--workdir DIR]
+    python3 scripts/bench_ab.py --parent REV --label L [--change REV] [--workdir DIR]
 
 Both sides are committed trees: each is extracted with ``git archive``
 into its own directory under ``--workdir`` (a new temporary directory by
 default), so neither this checkout's files nor its ``.git`` change.  For
-every seed and every workload of ``BENCHMARK.json`` the script runs
-``perfbench/run.py --trace 0`` once per side, alternating which side runs
-first, and stops at the first run that fails.  The output file holds, per
-workload and end-to-end metric, each side's runs, their medians over the
-seeds and the relative change of the medians, plus each side's commit,
-code digest and line count of ``src/vlgmatch``.
+seeds 1-3 and every workload of ``BENCHMARK.json`` the script runs
+``perfbench/run.py --trace 0`` for the ``run_seconds`` it sets, once per
+side, alternating which side runs first, and stops at the first run that
+fails.  The output file holds, per workload and end-to-end metric, each
+side's runs, their medians over the seeds and the relative change of the
+medians, plus each side's commit, code digest and line count of
+``src/vlgmatch``, and the subjects of the commits between the two.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+SEEDS = (1, 2, 3)
 
 
 def git(*args: str) -> str:
@@ -61,15 +62,12 @@ def main() -> int:
     parser.add_argument("--parent", required=True, help="parent commit")
     parser.add_argument("--change", default="HEAD", help="changed commit")
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="perfbench --seconds (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--workdir", type=Path, default=None,
                         help="where both trees are extracted (default: a new temporary directory)")
     args = parser.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = spec["end_to_end"]
     commits = {"parent": git("rev-parse", args.parent),
@@ -84,7 +82,7 @@ def main() -> int:
             for w in workloads}
     provenance: dict[str, dict] = {}
     turn = 0
-    for seed in args.seeds:
+    for seed in SEEDS:
         for workload in workloads:
             order = SIDES if turn % 2 == 0 else SIDES[::-1]
             turn += 1
@@ -116,7 +114,8 @@ def main() -> int:
 
     report = {
         "label": args.label,
-        "change": git("log", "-1", "--format=%s", commits["change"]),
+        "change": "; ".join(git("log", "--reverse", "--format=%s",
+                                f"{commits['parent']}..{commits['change']}").splitlines()),
         "command": f"python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {seconds:g} --trace 0",
         "parent_commit": commits["parent"],
@@ -127,7 +126,7 @@ def main() -> int:
                     "note": "shared host; perfbench scales each call to a reference loop"},
         "method": "one run per side per workload and seed, the two sides "
                   "alternating which runs first; medians over the seeds",
-        "seeds": args.seeds,
+        "seeds": list(SEEDS),
         "workloads": table,
     }
     out = ROOT / f"BENCH_{args.label}.json"
