@@ -3,18 +3,23 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_ab.py --parent REV --label L [--change REV] [--workdir DIR]
+    python3 scripts/bench_ab.py --parent REV --label L [--workdir DIR]
 
-Both sides are committed trees: each is extracted with ``git archive``
-into its own directory under ``--workdir`` (a new temporary directory by
-default), so neither this checkout's files nor its ``.git`` change.  For
-seeds 1-3 and every workload of ``BENCHMARK.json`` the script runs
-``perfbench/run.py --trace 0`` for the ``run_seconds`` it sets, once per
-side, alternating which side runs first, and stops at the first run that
-fails.  The output file holds, per workload and end-to-end metric, each
-side's runs, their medians over the seeds and the relative change of the
-medians, plus each side's commit, code digest and line count of
-``src/vlgmatch``, and the subjects of the commits between the two.
+The change is the checkout's ``HEAD``.  Both sides are committed trees:
+each is extracted with ``git archive`` into a temporary directory (under
+``--workdir`` if given) that is deleted at the end, so neither this
+checkout's files nor its ``.git`` change.  For seeds 1-10 and every
+workload of ``BENCHMARK.json`` the script runs ``perfbench/run.py
+--trace 0`` for the ``run_seconds`` it sets, once per side, alternating
+which side runs first, and stops at the first run that fails.  The two
+runs of one seed and workload are a pair.  The output file holds, per
+workload and end-to-end metric, each side's runs, medians and quartiles,
+the relative change of the medians, the pairs the change wins (ties count
+for neither) and whether the change meets the gain rule: it wins at least
+nine pairs in ten and the medians differ by more than the distance between
+the parent's quartiles.  It also holds each side's commit, code digest and
+line count of ``src/vlgmatch``, and the subjects of the commits between
+the two.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-SEEDS = (1, 2, 3)
+SEEDS = tuple(range(1, 11))
 
 
 def git(*args: str) -> str:
@@ -60,10 +65,9 @@ def perfbench(tree: Path, argv: list[str]) -> tuple[dict, dict]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent commit")
-    parser.add_argument("--change", default="HEAD", help="changed commit")
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
     parser.add_argument("--workdir", type=Path, default=None,
-                        help="where both trees are extracted (default: a new temporary directory)")
+                        help="where the temporary directory for both trees goes")
     args = parser.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -71,32 +75,30 @@ def main() -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = spec["end_to_end"]
     commits = {"parent": git("rev-parse", args.parent),
-               "change": git("rev-parse", args.change)}
-    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_ab-"))
-    trees = {}
-    for side in SIDES:
-        trees[side] = workdir / f"{side}-{commits[side][:12]}"
-        extract(commits[side], trees[side])
-
+               "change": git("rev-parse", "HEAD")}
     runs = {w: {m["name"]: {side: [] for side in SIDES} for m in metrics}
             for w in workloads}
     provenance: dict[str, dict] = {}
-    turn = 0
-    for seed in SEEDS:
-        for workload in workloads:
-            order = SIDES if turn % 2 == 0 else SIDES[::-1]
-            turn += 1
-            for side in order:
-                argv = ["--workload", workload, "--seed", str(seed),
-                        "--seconds", str(seconds), "--trace", "0"]
-                prov, result = perfbench(trees[side], argv)
-                provenance[side] = prov
-                for name, value in result["metrics"].items():
-                    if name in runs[workload]:
-                        runs[workload][name][side].append(value["value"])
-                print(f"seed {seed} {workload} {side}: " + ", ".join(
-                    f"{name} {value['value']:.4g}"
-                    for name, value in result["metrics"].items()), flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench_ab-", dir=args.workdir) as workdir:
+        trees = {side: Path(workdir) / side for side in SIDES}
+        for side in SIDES:
+            extract(commits[side], trees[side])
+        turn = 0
+        for seed in SEEDS:
+            for workload in workloads:
+                order = SIDES if turn % 2 == 0 else SIDES[::-1]
+                turn += 1
+                for side in order:
+                    argv = ["--workload", workload, "--seed", str(seed),
+                            "--seconds", str(seconds), "--trace", "0"]
+                    prov, result = perfbench(trees[side], argv)
+                    provenance[side] = prov
+                    for name, value in result["metrics"].items():
+                        if name in runs[workload]:
+                            runs[workload][name][side].append(value["value"])
+                    print(f"seed {seed} {workload} {side}: " + ", ".join(
+                        f"{name} {value['value']:.4g}"
+                        for name, value in result["metrics"].items()), flush=True)
 
     table = {}
     for workload in workloads:
@@ -104,12 +106,23 @@ def main() -> int:
         for metric in metrics:
             sides = runs[workload][metric["name"]]
             medians = {side: statistics.median(sides[side]) for side in SIDES}
+            quartiles = {side: statistics.quantiles(sides[side], n=4)[::2]
+                         for side in SIDES}
+            sign = 1 if metric["better"] == "higher" else -1
+            wins = sum(sign * (change - parent) > 0
+                       for parent, change in zip(sides["parent"], sides["change"]))
+            spread = quartiles["parent"][1] - quartiles["parent"][0]
             table[workload][metric["name"]] = {
                 "unit": metric["unit"], "better": metric["better"],
                 "bound": metric["bound"],
                 "parent_median": medians["parent"], "change_median": medians["change"],
                 "change_vs_parent": (round(medians["change"] / medians["parent"] - 1, 4)
                                      if medians["parent"] else None),
+                "parent_quartiles": quartiles["parent"],
+                "change_quartiles": quartiles["change"],
+                "change_wins": f"{wins}/{len(SEEDS)}",
+                "meets_gain_rule": (10 * wins >= 9 * len(SEEDS) and
+                                    sign * (medians["change"] - medians["parent"]) > spread),
                 "parent_runs": sides["parent"], "change_runs": sides["change"]}
 
     report = {
@@ -124,8 +137,8 @@ def main() -> int:
         "src_lines": {side: provenance[side]["src_lines"] for side in SIDES},
         "machine": {"python": platform.python_version(), "nproc": os.cpu_count(),
                     "note": "shared host; perfbench scales each call to a reference loop"},
-        "method": "one run per side per workload and seed, the two sides "
-                  "alternating which runs first; medians over the seeds",
+        "method": "one pair of runs per workload and seed, the two sides "
+                  "alternating which runs first; medians and quartiles over the seeds",
         "seeds": list(SEEDS),
         "workloads": table,
     }

@@ -31,12 +31,16 @@ from typing import Iterator
 from .pattern import VlgPattern, ensure_bytes
 
 # The CLI runs this engine for patterns with at most MAX_SIGMA distinct
-# bytes and at most MAX_LITERAL literal bytes.  Each block costs one mask
-# per distinct byte and one shift per literal byte, while the streaming
-# scan costs one table lookup per text byte; these are the measured
-# crossovers on text where the pieces rarely occur.
+# bytes, at most MAX_LITERAL literal bytes and at most MAX_CARRY carried
+# bits.  Each block costs one mask per distinct byte and one shift per
+# literal byte, while the streaming scan costs one table lookup per text
+# byte; these are the measured crossovers on text where the pieces rarely
+# occur.  A block is at least as long as the carry, and its copies and
+# masks take a few bytes per position, so past MAX_CARRY the streaming
+# engine is both smaller and faster.
 MAX_SIGMA = 8
 MAX_LITERAL = 100
+MAX_CARRY = 1 << 14
 MIN_BLOCK = 1024
 
 # "0"/"1" digits to false/true selectors for itertools.compress
@@ -46,9 +50,27 @@ Run = tuple[tuple[int, ...], list[int]]
 
 
 def suits(pattern: VlgPattern) -> bool:
-    """Whether the bit engine is the faster choice for ``pattern``."""
+    """Whether the bit engine is the faster and smaller choice for ``pattern``."""
     return (pattern.literal_length <= MAX_LITERAL
-            and len(set(b"".join(pattern.subpatterns))) <= MAX_SIGMA)
+            and len(set(b"".join(pattern.subpatterns))) <= MAX_SIGMA
+            and _carry(pattern) <= MAX_CARRY)
+
+
+def _carry(pattern: VlgPattern) -> int:
+    """The most bits a layer carries between blocks, in ``ends`` or ``runs``.
+
+    ``runs`` carries a match's span less one, which is never less than
+    what ``ends`` carries.
+    """
+    span = pattern.max_match_span
+    return _match_carry(pattern) if span is None else span - 1
+
+
+def _match_carry(pattern: VlgPattern) -> int:
+    """Bits ``ends`` carries: the widest bounded gap plus the piece after it."""
+    return max((gap.upper + len(after)
+                for gap, after in zip(pattern.gaps, pattern.subpatterns[1:])
+                if gap.upper is not None), default=0)
 
 
 def _positions(bits: int, stop: int) -> Iterator[int]:
@@ -96,8 +118,7 @@ class BitPlan:
                        None if gap.upper is None else gap.upper - gap.lower + 1)
                       for gap, after in zip(pattern.gaps, pieces[1:])]
         self._lead = max(map(len, pieces)) - 1
-        self._match_keep = max((shift + width - 1 for shift, width in self._gaps
-                                if width is not None), default=0)
+        self._match_keep = _match_carry(pattern)
         span = pattern.max_match_span
         self._combos_keep = None if span is None else span - 1
 

@@ -20,8 +20,9 @@ from vlgmatch.automaton import Automaton
 from vlgmatch.bitvec import BitPlan
 from vlgmatch import bitvec, cli
 from vlgmatch.cli import InputDocument, ingest_fasta, run
-from vlgmatch.oracle import occurrences_by_layer
+from vlgmatch.oracle import brute_force_endpoints, occurrences_by_layer
 from vlgmatch.pattern import parse_pattern
+from vlgmatch.reporter import report_on_the_fly
 
 EXAMPLE = helpers.EXAMPLE_TEXT.decode()
 
@@ -415,6 +416,38 @@ def test_engine_choice_at_the_limits(capsys, built, tmp_path, literal, bits):
         assert (code, err) == (0, "")
         assert out.split() == [str(2 + len(literal)), str(len(text))]
         assert len(built[Automaton]) == (0 if bits else 1), command
+
+
+@pytest.mark.parametrize("expr, bits", [
+    # a match's span less one is the carry: 2 + upper + 2 - 1
+    (f"AC.{{0,{bitvec.MAX_CARRY - 3}}}GT", True),
+    (f"AC.{{0,{bitvec.MAX_CARRY - 2}}}GT", False),
+    # an upper bound far beyond the text would make one block of it all
+    ("AC.{0,200000000}GT", False),
+    # with an unbounded gap, match carries the widest bounded upper bound
+    # plus the piece after it
+    (f"AC.{{1,*}}GT.{{0,{bitvec.MAX_CARRY - 2}}}TT", True),
+    (f"AC.{{1,*}}GT.{{0,{bitvec.MAX_CARRY - 1}}}TT", False),
+])
+def test_engine_choice_at_the_carry_limit(capsys, built, tmp_path, expr, bits):
+    text = b"ACAGTATT" + b"C" * 3 * bitvec.MIN_BLOCK + b"GTATT"
+    path = tmp_path / "t.txt"
+    path.write_bytes(text)
+    pattern = parse_pattern(expr)
+    expected = {"match": [f"{end}\n" for end in brute_force_endpoints(pattern, text)]}
+    if pattern.max_match_span is not None:
+        combos: list[tuple[int, ...]] = []
+        report_on_the_fly(pattern, text, combos.append)
+        expected["combos"] = [",".join(map(str, combo)) + "\n" for combo in combos]
+    assert expected["match"]
+    for command, lines in expected.items():
+        built[Automaton].clear()
+        built[BitPlan].clear()
+        code, out, err = _run(capsys, [command, "-p", expr, "-t", str(path)])
+        assert (code, err) == (0, "")
+        assert out.splitlines(keepends=True) == lines, command
+        assert (len(built[BitPlan]), len(built[Automaton])) == (
+            (1, 0) if bits else (0, 1)), command
 
 
 def test_ingest_fasta_basics():
