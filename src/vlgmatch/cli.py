@@ -4,8 +4,8 @@ Subcommands: match (end positions), combos (full combinations), graph
 (predecessor graph dump), stats (size and occurrence counters), and
 oracle match / oracle combos (brute-force reference, same output shapes).
 match and combos run the bit-parallel engine (``bitvec``) when the pattern
-has few distinct bytes and few literal bytes, and the paper's streaming
-engine otherwise; ``combos --engine`` forces one of the paper's engines.
+has few distinct bytes, few literal bytes and narrow gaps, and the paper's
+streaming engine otherwise; ``combos --engine`` forces one of the paper's engines.
 Both give the same lines in the same order.
 
 Input is a file path or "-" for stdin.  FASTA input (enabled by --fasta or
