@@ -17,9 +17,13 @@ workload and end-to-end metric, each side's runs, medians and quartiles,
 the relative change of the medians, the pairs the change wins (ties count
 for neither) and whether the change meets the gain rule: it wins at least
 nine pairs in ten and the medians differ by more than the distance between
-the parent's quartiles.  It also holds each side's commit, code digest and
-line count of ``src/vlgmatch``, and the subjects of the commits between
-the two.
+the parent's quartiles.  ``no_regression`` is ``regressed`` when the
+change's median is worse than the parent's by more than the metric's
+``bound`` (a share of the parent's median), else ``unresolved`` when the
+parent's quartile spread is wider than that bound and not every change
+run beats every parent run, else ``ok``.  It also holds each side's
+commit, code digest and line count of ``src/vlgmatch``, and the subjects
+of the commits between the two.
 """
 
 from __future__ import annotations
@@ -112,6 +116,15 @@ def main() -> int:
             wins = sum(sign * (change - parent) > 0
                        for parent, change in zip(sides["parent"], sides["change"]))
             spread = quartiles["parent"][1] - quartiles["parent"][0]
+            bound = metric["bound"] * abs(medians["parent"])
+            if sign * (medians["parent"] - medians["change"]) > bound:
+                verdict = "regressed"
+            elif spread > bound and not all(sign * (change - parent) > 0
+                                            for change in sides["change"]
+                                            for parent in sides["parent"]):
+                verdict = "unresolved"
+            else:
+                verdict = "ok"
             table[workload][metric["name"]] = {
                 "unit": metric["unit"], "better": metric["better"],
                 "bound": metric["bound"],
@@ -123,6 +136,7 @@ def main() -> int:
                 "change_wins": f"{wins}/{len(SEEDS)}",
                 "meets_gain_rule": (10 * wins >= 9 * len(SEEDS) and
                                     sign * (medians["change"] - medians["parent"]) > spread),
+                "no_regression": verdict,
                 "parent_runs": sides["parent"], "change_runs": sides["change"]}
 
     report = {

@@ -90,16 +90,6 @@ def _smear_later(bits: int, width: int) -> int:
     return bits
 
 
-def _smear_earlier(bits: int, width: int) -> int:
-    """Each set bit also sets the ``width - 1`` positions before it."""
-    done = 1
-    while done < width:
-        step = min(done, width - done)
-        bits |= bits << step
-        done += step
-    return bits
-
-
 class BitPlan:
     """The bit engine's per-pattern tables; ``VlgPattern.bitplan`` builds one."""
 
@@ -189,7 +179,9 @@ class BitPlan:
             ends = [list(_positions(found, stop))]
             for i in range(len(gaps) - 1, -1, -1):
                 shift, width = gaps[i]
-                found = layers[i] & _smear_earlier(found << shift, min(width, window))
+                # an end's predecessors lie shift to shift + width - 1 positions earlier
+                width = min(width, window)
+                found = layers[i] & _smear_later(found << (shift + width - 1), width)
                 ends.append(list(_positions(found, stop)))
             ends.reverse()
             yield from _expand(ends, gaps)

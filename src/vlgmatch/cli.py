@@ -28,12 +28,13 @@ import os
 import signal
 import sys
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from typing import BinaryIO, Iterable, Iterator
 
-from . import bitvec
 from .gapgraph import GraphBuilder, build_implicit_gap_graph, iter_graph_lines
 from .matcher import MatcherState, find_endpoints
-from .pattern import VlgPattern, parse_pattern
+from .pattern import parse_pattern
 from .reporter import count_combinations, report_chunked, report_on_the_fly
 
 
@@ -54,22 +55,15 @@ def ingest_fasta(stream: BinaryIO) -> Iterator[InputDocument]:
     """
     ident: str | None = None
     parts: list[bytes] = []
-
-    def flush() -> InputDocument | None:
-        if ident is None:
-            return None
-        sequence = b"".join(parts)
-        if not sequence:
-            print(f"warning: FASTA record '{ident}' has an empty sequence; skipped",
-                  file=sys.stderr)
-            return None
-        return InputDocument(ident, sequence)
-
-    for line in stream:
+    # a sentinel header ends the last record
+    for line in chain(stream, [b">"]):
         if line.startswith(b">"):
-            done = flush()
-            if done is not None:
-                yield done
+            sequence = b"".join(parts)
+            if sequence:
+                yield InputDocument(ident, sequence)
+            elif ident is not None:
+                print(f"warning: FASTA record '{ident}' has an empty sequence; skipped",
+                      file=sys.stderr)
             tokens = line[1:].split()
             ident = tokens[0].decode("utf-8", "replace") if tokens else ""
             parts = []
@@ -78,9 +72,6 @@ def ingest_fasta(stream: BinaryIO) -> Iterator[InputDocument]:
             if chunk and ident is None:
                 raise ValueError("sequence data before the first FASTA header")
             parts.append(chunk)
-    done = flush()
-    if done is not None:
-        yield done
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,7 +80,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Match patterns with variable-length gaps against large texts.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(subs, name, handler, help, bounded_for=None):
+        # bounded_for names what needs bounded gaps in the error run() gives
+        p = subs.add_parser(name, help=help)
+        p.set_defaults(handler=handler, bounded_for=bounded_for)
         p.add_argument("-p", "--pattern", required=True,
                        help="pattern expression, e.g. 'A.{6,7}CC.{2,6}GT'")
         p.add_argument("-t", "--text", required=True,
@@ -97,12 +91,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fasta", action="store_true",
                        help="treat input as FASTA (auto-detected from a leading '>')")
         p.add_argument("--format", choices=("text", "json"), default="text")
+        return p
 
-    p_match = sub.add_parser("match", help="print match end positions")
-    common(p_match)
-
-    p_combos = sub.add_parser("combos", help="print full match combinations")
-    common(p_combos)
+    command(sub, "match", _match, "print match end positions")
+    p_combos = command(sub, "combos", _combos, "print full match combinations",
+                       "combination reporting")
     p_combos.add_argument("--engine", choices=("onthefly", "chunked"),
                           help="force one of the paper's engines (default: the "
                                "bit-parallel engine for patterns with few "
@@ -110,20 +103,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_combos.add_argument("--chunk-len", type=int, default=None,
                           help="chunk length for the chunked engine "
                                "(test hook; must cover the maximum match span)")
-
-    p_graph = sub.add_parser("graph", help="dump the predecessor graph")
-    common(p_graph)
-
-    p_stats = sub.add_parser("stats", help="print pattern/text/run statistics")
-    common(p_stats)
+    command(sub, "graph", _graph, "dump the predecessor graph", "the predecessor graph")
+    command(sub, "stats", _stats, "print pattern/text/run statistics")
 
     p_oracle = sub.add_parser("oracle", help="brute-force reference engine")
     osub = p_oracle.add_subparsers(dest="oracle_command", required=True)
-    o_match = osub.add_parser("match", help="reference match end positions")
-    common(o_match)
-    o_combos = osub.add_parser("combos", help="reference match combinations")
-    common(o_combos)
-
+    command(osub, "match", _oracle_match, "reference match end positions")
+    command(osub, "combos", _oracle_combos, "reference match combinations",
+            "combination reporting")
     return parser
 
 
@@ -145,126 +132,99 @@ def _load_documents(args: argparse.Namespace) -> tuple[Iterable[InputDocument], 
     return [InputDocument(name, raw)], False
 
 
-def _require_bounded(pattern: VlgPattern, what: str) -> None:
-    if not pattern.bounded:
-        raise ValueError(f"{what} requires bounded gap upper bounds")
+def _line_format(args, fasta: bool, ident: str, key: str) -> tuple[str, str, str]:
+    """(head, sep, close): a line is head + sep.join(values) + close."""
+    if args.format == "text":
+        return (f"{ident}:" if fasta else ""), ",", "\n"
+    head = "{" + (f'"record": {json.dumps(ident)}, ' if fasta else "")
+    if key == "end":
+        return head + '"end": ', "", "}\n"
+    return head + '"ends": [', ", ", "]}\n"
 
 
-def _record(fasta: bool, ident: str) -> str:
-    return f'"record": {json.dumps(ident)}, ' if fasta else ""
+def _write_ends(args, fasta: bool, ident: str, ends: Iterable[int]) -> None:
+    head, _, close = _line_format(args, fasta, ident, "end")
+    write = sys.stdout.write
+    for end in ends:
+        write(f"{head}{end}{close}")
 
 
-def _end_format(args, fasta: bool, ident: str) -> tuple[str, str]:
-    """(head, close): an end's line is head + end + close."""
-    if args.format == "json":
-        return "{" + _record(fasta, ident) + '"end": ', "}\n"
-    return (f"{ident}:" if fasta else ""), "\n"
+def _combo_writer(args, fasta: bool, ident: str):
+    head, sep, close = _line_format(args, fasta, ident, "ends")
+    write = sys.stdout.write
+    return lambda combo: write(head + sep.join(map(str, combo)) + close)
 
 
-def _combo_format(args, fasta: bool, ident: str) -> tuple[str, str, str]:
-    """(head, sep, close): a combination's line is head + sep.join(ends) + close."""
-    if args.format == "json":
-        return "{" + _record(fasta, ident) + '"ends": [', ", ", "]}\n"
-    return (f"{ident}:" if fasta else ""), ",", "\n"
+def _match(args, pattern, docs, fasta) -> None:
+    from . import bitvec  # compiled only by the commands that may run it
+    ends_of = (pattern.bitplan.ends if bitvec.suits(pattern)
+               else partial(find_endpoints, pattern))
+    for doc in docs:
+        _write_ends(args, fasta, doc.ident, ends_of(doc.sequence))
 
 
-def _emit_ends(args, docs, fasta, ends_of) -> int:
+def _oracle_match(args, pattern, docs, fasta) -> None:
+    from . import oracle  # compiled only when asked for, to keep start-up short
+    for doc in docs:
+        _write_ends(args, fasta, doc.ident,
+                    oracle.brute_force_endpoints(pattern, doc.sequence))
+
+
+def _combos(args, pattern, docs, fasta) -> None:
+    plan = None
+    if args.engine is None:
+        from . import bitvec  # compiled only by the commands that may run it
+        if bitvec.suits(pattern):
+            plan = pattern.bitplan
+    if args.engine == "chunked":
+        report = partial(report_chunked, pattern, chunk_len=args.chunk_len)
+    else:
+        report = partial(report_on_the_fly, pattern)
     write = sys.stdout.write
     for doc in docs:
-        head, close = _end_format(args, fasta, doc.ident)
-        for end in ends_of(doc):
-            write(f"{head}{end}{close}")
-    return 0
-
-
-def _emit_combos(args, docs, fasta, run) -> int:
-    write = sys.stdout.write
-    for doc in docs:
-        head, sep, close = _combo_format(args, fasta, doc.ident)
-        run(doc, lambda combo: write(head + sep.join(map(str, combo)) + close))
-    return 0
-
-
-def _emit_runs(args, docs, fasta, plan: bitvec.BitPlan) -> int:
-    """Write each run of combinations with one join and one write."""
-    write = sys.stdout.write
-    for doc in docs:
-        head, sep, close = _combo_format(args, fasta, doc.ident)
+        if plan is None:
+            report(doc.sequence, _combo_writer(args, fasta, doc.ident))
+            continue
+        # each run of combinations with one join and one write
+        head, sep, close = _line_format(args, fasta, doc.ident, "ends")
         for suffix, firsts in plan.runs(doc.sequence):
             tail = sep.join(["", *map(str, suffix)]) + close
             write(head + (tail + head).join(map(str, firsts)) + tail)
-    return 0
 
 
-def _cmd_match(args, pattern, docs, fasta) -> int:
-    if bitvec.suits(pattern):
-        plan = pattern.bitplan
-        return _emit_ends(args, docs, fasta, lambda doc: plan.ends(doc.sequence))
-    return _emit_ends(args, docs, fasta,
-                      lambda doc: find_endpoints(pattern, doc.sequence))
-
-
-def _cmd_oracle_match(args, pattern, docs, fasta) -> int:
+def _oracle_combos(args, pattern, docs, fasta) -> None:
     from . import oracle  # compiled only when asked for, to keep start-up short
-    return _emit_ends(args, docs, fasta,
-                      lambda doc: oracle.brute_force_endpoints(pattern, doc.sequence))
-
-
-def _cmd_combos(args, pattern, docs, fasta) -> int:
-    _require_bounded(pattern, "combination reporting")
-    if args.engine is None and bitvec.suits(pattern):
-        return _emit_runs(args, docs, fasta, pattern.bitplan)
-
-    def run(doc, sink):
-        if args.engine == "chunked":
-            report_chunked(pattern, doc.sequence, sink, chunk_len=args.chunk_len)
-        else:
-            report_on_the_fly(pattern, doc.sequence, sink)
-
-    return _emit_combos(args, docs, fasta, run)
-
-
-def _cmd_oracle_combos(args, pattern, docs, fasta) -> int:
-    from . import oracle  # compiled only when asked for, to keep start-up short
-    _require_bounded(pattern, "combination reporting")
-
-    def run(doc, sink):
+    for doc in docs:
+        sink = _combo_writer(args, fasta, doc.ident)
         for combo in sorted(oracle.brute_force_combinations(pattern, doc.sequence)):
             sink(combo)
 
-    return _emit_combos(args, docs, fasta, run)
 
-
-def _cmd_graph(args, pattern, docs, fasta) -> int:
-    _require_bounded(pattern, "the predecessor graph")
-    out = sys.stdout
+def _graph(args, pattern, docs, fasta) -> None:
+    write = sys.stdout.write
     for doc in docs:
         graph = build_implicit_gap_graph(pattern, doc.sequence)
-        if args.format == "json":
-            for node in graph.nodes():
-                payload = {"type": "node", "layer": node.layer, "end": node.endpos}
-                if fasta:
-                    payload["record"] = doc.ident
-                out.write(json.dumps(payload) + "\n")
-            for node, pred in graph.edges():
-                payload = {"type": "edge", "layer": node.layer, "end": node.endpos,
-                           "pred_layer": pred.layer, "pred_end": pred.endpos}
-                if fasta:
-                    payload["record"] = doc.ident
-                out.write(json.dumps(payload) + "\n")
-        else:
+        if args.format == "text":
             prefix = f"{doc.ident}:" if fasta else ""
             for line in iter_graph_lines(graph):
-                out.write(prefix + line + "\n")
-    return 0
+                write(prefix + line + "\n")
+            continue
+        record = {"record": doc.ident} if fasta else {}
+        for node in graph.nodes():
+            write(json.dumps({"type": "node", "layer": node.layer, "end": node.endpos,
+                              **record}) + "\n")
+        for node, pred in graph.edges():
+            write(json.dumps({"type": "edge", "layer": node.layer, "end": node.endpos,
+                              "pred_layer": pred.layer, "pred_end": pred.endpos,
+                              **record}) + "\n")
 
 
 def _ignore(_end: int) -> None:
     pass
 
 
-def _cmd_stats(args, pattern, docs, fasta) -> int:
-    out = sys.stdout
+def _stats(args, pattern, docs, fasta) -> None:
+    write = sys.stdout.write
     for doc in docs:
         state = MatcherState(pattern)
         process = state.process_event
@@ -277,37 +237,31 @@ def _cmd_stats(args, pattern, docs, fasta) -> int:
 
         pattern.automaton.stream(doc.sequence, on_event)
         counters = state.counters
-        beta = None if builder is None else count_combinations(builder.finish())
-        gap_total = pattern.max_gap_sum
-        rows: list[tuple[str, object]] = [
-            ("n", len(doc.sequence)),
-            ("m", pattern.literal_length),
-            ("k", pattern.num_subpatterns),
-            ("A", pattern.min_gap_sum),
-            ("B", "unbounded" if gap_total is None else gap_total),
-            ("alpha", counters.occurrences),
-            ("layer_occurrences",
-             ",".join(map(str, counters.layer_occurrences))),
-            ("matches", counters.reported),
-            ("beta", "unavailable" if beta is None else beta),
-            ("peak_ranges",
-             ",".join(map(str, counters.peak_ranges)) or "-"),
-        ]
+        values = {
+            "n": len(doc.sequence),
+            "m": pattern.literal_length,
+            "k": pattern.num_subpatterns,
+            "A": pattern.min_gap_sum,
+            "B": pattern.max_gap_sum,
+            "alpha": counters.occurrences,
+            "layer_occurrences": counters.layer_occurrences,
+            "matches": counters.reported,
+            "beta": None if builder is None else count_combinations(builder.finish()),
+            "peak_ranges": counters.peak_ranges,
+        }
         if args.format == "json":
-            payload = {key: value for key, value in rows}
-            payload["B"] = gap_total
-            payload["beta"] = beta
-            payload["layer_occurrences"] = counters.layer_occurrences
-            payload["peak_ranges"] = counters.peak_ranges
             if fasta:
-                payload["record"] = doc.ident
-            out.write(json.dumps(payload) + "\n")
-        else:
-            if fasta:
-                out.write(f"record {doc.ident}\n")
-            for key, value in rows:
-                out.write(f"{key} {value}\n")
-    return 0
+                values["record"] = doc.ident
+            write(json.dumps(values) + "\n")
+            continue
+        if fasta:
+            write(f"record {doc.ident}\n")
+        for key, value in values.items():
+            if isinstance(value, list):
+                value = ",".join(map(str, value)) or "-"
+            elif value is None:
+                value = "unbounded" if key == "B" else "unavailable"
+            write(f"{key} {value}\n")
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -320,20 +274,13 @@ def run(argv: list[str] | None = None) -> int:
         # on POSIX, fsencode gives back the argument's bytes as passed
         pattern = parse_pattern(os.fsencode(args.pattern))
         docs, fasta = _load_documents(args)
-        if args.command == "match":
-            return _cmd_match(args, pattern, docs, fasta)
-        if args.command == "combos":
-            return _cmd_combos(args, pattern, docs, fasta)
-        if args.command == "graph":
-            return _cmd_graph(args, pattern, docs, fasta)
-        if args.command == "stats":
-            return _cmd_stats(args, pattern, docs, fasta)
-        if args.oracle_command == "match":
-            return _cmd_oracle_match(args, pattern, docs, fasta)
-        return _cmd_oracle_combos(args, pattern, docs, fasta)
+        if args.bounded_for is not None and not pattern.bounded:
+            raise ValueError(f"{args.bounded_for} requires bounded gap upper bounds")
+        args.handler(args, pattern, docs, fasta)
     except (ValueError, OSError) as exc:
         print(f"vlgmatch: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main() -> None:

@@ -84,7 +84,6 @@ class RangeList:
 
 @dataclass
 class MatchCounters:
-    events: int = 0
     occurrences: int = 0
     appended: int = 0
     purged: int = 0
@@ -119,7 +118,6 @@ class MatcherState:
     def process_event(self, event: OccEvent, emit: Callable[[int], None]) -> None:
         """Consume one occurrence event; events must arrive in position order."""
         counters = self.counters
-        counters.events += 1
         if self._observer is not None:
             self._observer("before", event, self._snapshot())
         pos = event.position

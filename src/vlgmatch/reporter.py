@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, NamedTuple
 
-from .gapgraph import GraphBuilder, GraphCounters, GraphNode
+from .gapgraph import GraphBuilder, GraphCounters, GraphNode, build_implicit_gap_graph
 from .pattern import VlgPattern, ensure_bytes
 
 Combination = tuple[int, ...]
@@ -136,9 +136,7 @@ def report_chunked(pattern: VlgPattern, text: bytes | str, sink: Sink, *,
     retained: deque[GraphBuilder] = deque(maxlen=2)
     for index in range(plan.count):
         offset = index * plan.stride
-        builder = GraphBuilder(pattern)
-        pattern.automaton.stream(data[offset:offset + plan.length], builder.feed)
-        graph = builder.finish()
+        graph = build_implicit_gap_graph(pattern, data[offset:offset + plan.length])
         retained.append(graph)
         counters.chunks += 1
         if len(retained) > counters.peak_graphs:
