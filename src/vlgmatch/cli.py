@@ -81,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(subs, name, handler, help, bounded_for=None):
-        # bounded_for names what needs bounded gaps in the error run() gives
         p = subs.add_parser(name, help=help)
         p.set_defaults(handler=handler, bounded_for=bounded_for)
         p.add_argument("-p", "--pattern", required=True,
@@ -224,11 +223,15 @@ def _ignore(_end: int) -> None:
 
 
 def _stats(args, pattern, docs, fasta) -> None:
+    # the pattern's figures are sums over its pieces and gaps: once per command
+    sizes = {"m": pattern.literal_length, "k": pattern.num_subpatterns,
+             "A": pattern.min_gap_sum, "B": pattern.max_gap_sum}
+    bounded = pattern.bounded
     write = sys.stdout.write
     for doc in docs:
         state = MatcherState(pattern)
         process = state.process_event
-        builder = GraphBuilder(pattern) if pattern.bounded else None
+        builder = GraphBuilder(pattern) if bounded else None
 
         def on_event(event) -> None:
             process(event, _ignore)
@@ -239,10 +242,7 @@ def _stats(args, pattern, docs, fasta) -> None:
         counters = state.counters
         values = {
             "n": len(doc.sequence),
-            "m": pattern.literal_length,
-            "k": pattern.num_subpatterns,
-            "A": pattern.min_gap_sum,
-            "B": pattern.max_gap_sum,
+            **sizes,
             "alpha": counters.occurrences,
             "layer_occurrences": counters.layer_occurrences,
             "matches": counters.reported,
