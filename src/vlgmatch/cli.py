@@ -35,7 +35,7 @@ from typing import BinaryIO, Iterable, Iterator
 from .gapgraph import GraphBuilder, build_implicit_gap_graph, iter_graph_lines
 from .matcher import MatcherState, find_endpoints
 from .pattern import parse_pattern
-from .reporter import count_combinations, report_chunked, report_on_the_fly
+from .reporter import Sink, count_combinations, report_chunked, report_on_the_fly
 
 
 @dataclass
@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Match patterns with variable-length gaps against large texts.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(subs, name, handler, help, bounded_for=None):
+    def command(subs, name: str, handler, help: str, bounded_for: str | None = None):
         p = subs.add_parser(name, help=help)
         p.set_defaults(handler=handler, bounded_for=bounded_for)
         p.add_argument("-p", "--pattern", required=True,
@@ -148,7 +148,7 @@ def _write_ends(args, fasta: bool, ident: str, ends: Iterable[int]) -> None:
         write(f"{head}{end}{close}")
 
 
-def _combo_writer(args, fasta: bool, ident: str):
+def _combo_writer(args, fasta: bool, ident: str) -> Sink:
     head, sep, close = _line_format(args, fasta, ident, "ends")
     write = sys.stdout.write
     return lambda combo: write(head + sep.join(map(str, combo)) + close)

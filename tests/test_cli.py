@@ -177,6 +177,14 @@ def test_stats_golden_output(capsys, example_file):
         "layer_occurrences 5,5,4\nmatches 3\nbeta 4\npeak_ranges 3,1\n")
 
 
+def test_stats_one_piece_text(capsys, example_file):
+    code, out, _ = _run(capsys, ["stats", "-p", "GT", "-t", example_file])
+    assert code == 0
+    assert out == (
+        "n 31\nm 2\nk 1\nA 0\nB 0\nalpha 4\n"
+        "layer_occurrences 4\nmatches 4\nbeta 4\npeak_ranges -\n")
+
+
 def test_stats_json_types(capsys, example_file):
     code, out, _ = _run(capsys, [
         "stats", "-p", helpers.EXAMPLE_PATTERN, "-t", example_file,
@@ -238,7 +246,7 @@ def test_missing_file_exits_2(capsys, tmp_path):
     assert err.startswith("vlgmatch: ")
 
 
-def test_unbounded_gaps_rejected_for_combos_and_graph(capsys, example_file):
+def test_unbounded_gaps_rejected_for_combos_and_graph(capsys, example_file, tmp_path):
     for argv in (["combos", "-p", "A.{2,*}GT", "-t", example_file],
                  ["graph", "-p", "A.{2,*}GT", "-t", example_file],
                  ["oracle", "combos", "-p", "A.{2,*}GT", "-t", example_file]):
@@ -246,6 +254,16 @@ def test_unbounded_gaps_rejected_for_combos_and_graph(capsys, example_file):
         assert code == 2, argv
         assert out == ""
         assert "bounded" in err
+    # rejected before the first record, so also when there is none
+    empty = tmp_path / "empty.fa"
+    empty.write_bytes(b"")
+    for argv, what in ((["combos"], "combination reporting"),
+                       (["graph"], "the predecessor graph"),
+                       (["oracle", "combos"], "combination reporting")):
+        code, out, err = _run(capsys, [
+            *argv, "-p", "A.{2,*}GT", "-t", str(empty), "--fasta"])
+        assert (code, out) == (2, ""), argv
+        assert err == f"vlgmatch: {what} requires bounded gap upper bounds\n"
 
 
 def test_chunk_len_too_small_exits_2(capsys, example_file):
@@ -322,10 +340,58 @@ def test_fasta_stats_names_record(capsys, tmp_path):
     assert out.startswith("record only\nn 31\n")
 
 
+TWO_RECORDS = b">r1 first\nCAAGTAGT\n>r2\nACGGT\n"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["stats", "--format", "json"],
+     '{"n": 8, "m": 3, "k": 2, "A": 0, "B": 2, "alpha": 5, '
+     '"layer_occurrences": [3, 2], "matches": 2, "beta": 3, '
+     '"peak_ranges": [1], "record": "r1"}\n'
+     '{"n": 5, "m": 3, "k": 2, "A": 0, "B": 2, "alpha": 2, '
+     '"layer_occurrences": [1, 1], "matches": 1, "beta": 1, '
+     '"peak_ranges": [1], "record": "r2"}\n'),
+    (["graph"],
+     "r1:N 1 2\nr1:N 1 3\nr1:N 1 6\nr1:N 2 5\nr1:N 2 8\n"
+     "r1:E 2 5 1 2\nr1:E 2 5 1 3\nr1:E 2 8 1 6\n"
+     "r2:N 1 1\nr2:N 2 5\nr2:E 2 5 1 1\n"),
+    (["graph", "--format", "json"],
+     '{"type": "node", "layer": 1, "end": 2, "record": "r1"}\n'
+     '{"type": "node", "layer": 1, "end": 3, "record": "r1"}\n'
+     '{"type": "node", "layer": 1, "end": 6, "record": "r1"}\n'
+     '{"type": "node", "layer": 2, "end": 5, "record": "r1"}\n'
+     '{"type": "node", "layer": 2, "end": 8, "record": "r1"}\n'
+     '{"type": "edge", "layer": 2, "end": 5, "pred_layer": 1, "pred_end": 2, '
+     '"record": "r1"}\n'
+     '{"type": "edge", "layer": 2, "end": 5, "pred_layer": 1, "pred_end": 3, '
+     '"record": "r1"}\n'
+     '{"type": "edge", "layer": 2, "end": 8, "pred_layer": 1, "pred_end": 6, '
+     '"record": "r1"}\n'
+     '{"type": "node", "layer": 1, "end": 1, "record": "r2"}\n'
+     '{"type": "node", "layer": 2, "end": 5, "record": "r2"}\n'
+     '{"type": "edge", "layer": 2, "end": 5, "pred_layer": 1, "pred_end": 1, '
+     '"record": "r2"}\n'),
+    (["oracle", "match", "--format", "json"],
+     '{"record": "r1", "end": 5}\n{"record": "r1", "end": 8}\n'
+     '{"record": "r2", "end": 5}\n'),
+    (["oracle", "combos"], "r1:2,5\nr1:3,5\nr1:6,8\nr2:1,5\n"),
+])
+def test_fasta_output_shapes(capsys, tmp_path, argv, expected):
+    path = tmp_path / "two.fa"
+    path.write_bytes(TWO_RECORDS)
+    code, out, err = _run(capsys, [*argv, "-p", "A.{0,2}GT", "-t", str(path)])
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
 @pytest.mark.parametrize("argv", [
     ["match"], ["combos"], ["combos", "--engine", "chunked"], ["graph"],
     ["stats"], ["combos", "--engine", "onthefly"]])
-def test_one_automaton_per_command(capsys, built, tmp_path, argv):
+def test_one_automaton_per_command(capsys, built, monkeypatch, tmp_path, argv):
+    suited = []
+    real_suits = bitvec.suits
+    monkeypatch.setattr(bitvec, "suits",
+                        lambda pattern: suited.append(pattern) or real_suits(pattern))
     rng = random.Random(3)
     path = tmp_path / "records.fa"
     path.write_text("".join(
@@ -336,8 +402,10 @@ def test_one_automaton_per_command(capsys, built, tmp_path, argv):
     assert (code, err, bool(out)) == (0, "", True)
     if argv in (["match"], ["combos"]):  # the bit engine's choice
         assert (len(built[Automaton]), len(built[BitPlan])) == (0, 1)
+        assert len(suited) == 1  # chosen once per command, not per record
     else:
         assert (len(built[Automaton]), len(built[BitPlan])) == (1, 0)
+        assert suited == []
 
 
 def test_fasta_records_parsed_one_at_a_time(capsys, monkeypatch, tmp_path):
@@ -497,6 +565,22 @@ def test_module_entry_point_exit_status_on_usage_error(tmp_path):
     assert result.returncode == 2
     assert result.stderr.startswith("vlgmatch: ")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["match"], True), (["stats"], False), (["graph"], False),
+    (["combos", "--engine", "chunked"], False)])
+def test_bitvec_imported_only_where_it_runs(tmp_path, argv, loaded):
+    path = tmp_path / "t.txt"
+    path.write_bytes(helpers.EXAMPLE_TEXT)
+    probe = ("import sys; from vlgmatch.cli import run; code = run(sys.argv[1:]); "
+             "print('vlgmatch.bitvec' in sys.modules, code, file=sys.stderr)")
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *argv, "-p", helpers.EXAMPLE_PATTERN,
+         "-t", str(path)],
+        capture_output=True, text=True, env=helpers.module_cli_env(), timeout=60)
+    assert result.stdout
+    assert result.stderr == f"{loaded} 0\n"
 
 
 @pytest.mark.skipif(os.name != "posix", reason="argv bytes are POSIX")
