@@ -32,7 +32,7 @@ from functools import partial
 from itertools import chain
 from typing import BinaryIO, Iterable, Iterator
 
-from .gapgraph import GraphBuilder, build_implicit_gap_graph, iter_graph_lines
+from .gapgraph import GraphBuilder, build_implicit_gap_graph
 from .matcher import MatcherState, find_endpoints
 from .pattern import parse_pattern
 from .reporter import Sink, count_combinations, report_chunked, report_on_the_fly
@@ -200,13 +200,18 @@ def _oracle_combos(args, pattern, docs, fasta) -> None:
 
 
 def _graph(args, pattern, docs, fasta) -> None:
+    """Text output is ``N <layer> <endpos>`` per node, then ``E <layer>
+    <endpos> <pred_layer> <pred_endpos>`` per edge, each by (layer, endpos)."""
     write = sys.stdout.write
     for doc in docs:
         graph = build_implicit_gap_graph(pattern, doc.sequence)
         if args.format == "text":
             prefix = f"{doc.ident}:" if fasta else ""
-            for line in iter_graph_lines(graph):
-                write(prefix + line + "\n")
+            for node in graph.nodes():
+                write(f"{prefix}N {node.layer} {node.endpos}\n")
+            for node, pred in graph.edges():
+                write(f"{prefix}E {node.layer} {node.endpos} "
+                      f"{pred.layer} {pred.endpos}\n")
             continue
         record = {"record": doc.ident} if fasta else {}
         for node in graph.nodes():
@@ -223,15 +228,11 @@ def _ignore(_end: int) -> None:
 
 
 def _stats(args, pattern, docs, fasta) -> None:
-    # the pattern's figures are sums over its pieces and gaps: once per command
-    sizes = {"m": pattern.literal_length, "k": pattern.num_subpatterns,
-             "A": pattern.min_gap_sum, "B": pattern.max_gap_sum}
-    bounded = pattern.bounded
     write = sys.stdout.write
     for doc in docs:
         state = MatcherState(pattern)
         process = state.process_event
-        builder = GraphBuilder(pattern) if bounded else None
+        builder = GraphBuilder(pattern) if pattern.bounded else None
 
         def on_event(event) -> None:
             process(event, _ignore)
@@ -242,7 +243,10 @@ def _stats(args, pattern, docs, fasta) -> None:
         counters = state.counters
         values = {
             "n": len(doc.sequence),
-            **sizes,
+            "m": pattern.literal_length,
+            "k": pattern.num_subpatterns,
+            "A": pattern.min_gap_sum,
+            "B": pattern.max_gap_sum,
             "alpha": counters.occurrences,
             "layer_occurrences": counters.layer_occurrences,
             "matches": counters.reported,

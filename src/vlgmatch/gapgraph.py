@@ -7,9 +7,11 @@ form a contiguous run of the previous layer's nodes, so the full edge set
 is recoverable on demand and the stored graph stays linear in the number
 of occurrences with out-degree at most 2.
 
-The two links come from a pair of interval lists per layer covering the
-same start positions: in one the covering range is the earliest ever to
-cover a position, in the other the most recent.
+A node's compatible predecessors are the previous layer's nodes that end
+inside the gap window before its start.  Each layer keeps its nodes in
+ascending end order, so two binary searches over the previous layer find
+that run; the occurrence is relevant iff the run is nonempty, and the
+run's first and last nodes are the two links.
 
 Gap upper bounds must be bounded here; the decision matcher handles the
 unbounded case.
@@ -17,7 +19,9 @@ unbounded case.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterator
 
 from .automaton import OccEvent
@@ -48,84 +52,7 @@ class GraphNode:
         return f"GraphNode(layer={self.layer}, endpos={self.endpos})"
 
 
-# (start, end, origin) entries; ends are always bounded here
-TaggedRange = tuple[int, int, GraphNode]
-
-
-class DualLists:
-    """Paired coverage lists for one layer's admissible start positions.
-
-    Both lists cover exactly the same positions.  In ``first`` the range
-    covering a position is the earliest one ever to cover it; in ``last``
-    it is the most recent.  Entries stay sorted and disjoint, with both
-    starts and ends increasing.
-    """
-
-    __slots__ = ("first", "last", "sublen")
-
-    def __init__(self, sublen: int) -> None:
-        self.first: list[TaggedRange] = []
-        self.last: list[TaggedRange] = []
-        self.sublen = sublen
-
-    def purge_dead(self, pos: int) -> int:
-        """Drop leading ranges no occurrence ending at or after ``pos`` can start in."""
-        cutoff = pos - self.sublen + 1
-        removed = 0
-        for entries in (self.first, self.last):
-            j = 0
-            while j < len(entries) and entries[j][1] < cutoff:
-                j += 1
-            if j:
-                del entries[:j]
-                removed += j
-        return removed
-
-    def append(self, start: int, end: int, origin: GraphNode) -> None:
-        """Add [start, end] tagged with its creating node.
-
-        Both starts and ends arrive nondecreasing (each layer appends
-        windows of one fixed width at increasing positions).  The new
-        range is clipped against existing coverage in ``first`` (and
-        dropped there if fully covered); in ``last`` it overrides the
-        tail of the previous range instead.
-        """
-        first = self.first
-        clipped = start
-        if first:
-            prev_end = first[-1][1]
-            if prev_end + 1 > clipped:
-                clipped = prev_end + 1
-        if clipped <= end:
-            first.append((clipped, end, origin))
-        last = self.last
-        if last:
-            prev_start, prev_end, prev_origin = last[-1]
-            if prev_end >= start:
-                if start - 1 >= prev_start:
-                    last[-1] = (prev_start, start - 1, prev_origin)
-                else:
-                    last.pop()
-        last.append((start, end, origin))
-
-    def relevant_origins(self, pos: int) -> tuple[GraphNode, GraphNode] | None:
-        """(earliest, most recent) creators covering ``pos``, or None.
-
-        Assumes dead ranges were purged, so coverage of ``pos`` implies the
-        leading range of ``first`` contains it; the matching ``last`` range
-        is then the first one not ending before ``pos``.
-        """
-        if not self.first:
-            return None
-        start, end, earliest = self.first[0]
-        if not (start <= pos <= end):
-            return None
-        for start2, end2, recent in self.last:
-            if start2 > pos:
-                break
-            if pos <= end2:
-                return earliest, recent
-        raise AssertionError("paired lists disagree on coverage")
+_endpos = attrgetter("endpos")
 
 
 def tail_span_bounds(pattern: VlgPattern) -> tuple[int, ...]:
@@ -146,7 +73,12 @@ def tail_span_bounds(pattern: VlgPattern) -> tuple[int, ...]:
 
 
 def max_dual_ranges(gap: GapBounds, next_sublen: int) -> int:
-    """Worst-case entries in either coverage list of the layer after ``gap``."""
+    """Most previous-layer nodes at or after one window's start.
+
+    A node of the layer after ``gap`` that ends at ``pos`` searches for
+    predecessors ending at ``pos - next_sublen - gap.upper`` or later.
+    Retained nodes of one layer have distinct ends, none past ``pos``.
+    """
     if gap.upper is None:
         raise ValueError("bound requires a bounded gap")
     return next_sublen + gap.upper + 1
@@ -158,7 +90,8 @@ class GraphCounters:
     nodes_created: int = 0
     nodes_purged: int = 0
     peak_live_nodes: int = 0
-    # index i-2 = peak of max(|first|, |last|) for layer i's lists
+    # index i-2 = most layer-(i-1) nodes at or after the window start of
+    # one layer-i lookup
     peak_dual_ranges: list[int] = field(default_factory=list)
 
 
@@ -180,10 +113,6 @@ class GraphBuilder:
         self.pattern = pattern
         self._k = pattern.num_subpatterns
         self._sublen = [len(piece) for piece in pattern.subpatterns]
-        self._duals: dict[int, DualLists] = {
-            layer: DualLists(self._sublen[layer - 1])
-            for layer in range(2, self._k + 1)
-        }
         # index 0 unused; layer lists hold retained nodes, ascending endpos
         self._nodes: list[list[GraphNode]] = [[] for _ in range(self._k + 1)]
         # per layer, the seq of the first retained node
@@ -204,19 +133,22 @@ class GraphBuilder:
     def _step(self, layer: int, pos: int) -> None:
         counters = self.counters
         counters.occurrences += 1
-        here = self._duals.get(layer)
-        ahead = self._duals.get(layer + 1)
-        if here is not None:
-            here.purge_dead(pos)
-        if ahead is not None:
-            ahead.purge_dead(pos)
         if layer == 1:
             first = last = None
         else:
-            found = here.relevant_origins(pos - self._sublen[layer - 1] + 1)
-            if found is None:
+            # pruning keeps every node searched here: a layer-(i-1) node
+            # goes only once pos passes its end by its tail span, which is
+            # at least this gap's upper bound plus this piece's length
+            prev = self._nodes[layer - 1]
+            gap = self.pattern.gaps[layer - 2]
+            start = pos - self._sublen[layer - 1] + 1
+            lo = bisect_left(prev, start - gap.upper - 1, key=_endpos)
+            hi = bisect_right(prev, start - gap.lower - 1, lo, key=_endpos)
+            if len(prev) - lo > counters.peak_dual_ranges[layer - 2]:
+                counters.peak_dual_ranges[layer - 2] = len(prev) - lo
+            if lo == hi:
                 return
-            first, last = found
+            first, last = prev[lo], prev[hi - 1]
         node = GraphNode(layer, pos, self._next_seq[layer], first, last)
         self._next_seq[layer] += 1
         counters.nodes_created += 1
@@ -231,12 +163,6 @@ class GraphBuilder:
             live_now = self._live
         if live_now > counters.peak_live_nodes:
             counters.peak_live_nodes = live_now
-        if not terminal:
-            gap = self.pattern.gaps[layer - 1]
-            ahead.append(pos + gap.lower + 1, pos + gap.upper + 1, node)
-            size = max(len(ahead.first), len(ahead.last))
-            if size > counters.peak_dual_ranges[layer - 1]:
-                counters.peak_dual_ranges[layer - 1] = size
 
     def purge_dead_nodes(self, pos: int) -> int:
         """Drop nodes that cannot belong to any match ending at or after ``pos``."""
@@ -303,16 +229,3 @@ def build_implicit_gap_graph(pattern: VlgPattern,
     builder = GraphBuilder(pattern)
     pattern.automaton.stream(text, builder.feed)
     return builder.finish()
-
-
-def iter_graph_lines(graph: GraphBuilder) -> Iterator[str]:
-    """Plain-text dump: all node lines, then all edge lines.
-
-    Nodes print as ``N <layer> <endpos>`` and edges as
-    ``E <layer> <endpos> <pred_layer> <pred_endpos>``, each section ordered
-    by (layer, endpos).
-    """
-    for node in graph.nodes():
-        yield f"N {node.layer} {node.endpos}"
-    for node, pred in graph.edges():
-        yield f"E {node.layer} {node.endpos} {pred.layer} {pred.endpos}"

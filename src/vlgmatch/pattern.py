@@ -99,16 +99,16 @@ class VlgPattern:
     def num_subpatterns(self) -> int:
         return len(self.subpatterns)
 
-    @property
+    @cached_property
     def literal_length(self) -> int:
         """Total number of literal characters across all pieces."""
         return sum(len(piece) for piece in self.subpatterns)
 
-    @property
+    @cached_property
     def min_gap_sum(self) -> int:
         return sum(gap.lower for gap in self.gaps)
 
-    @property
+    @cached_property
     def max_gap_sum(self) -> int | None:
         """Sum of the gap upper bounds, or None if any gap is unbounded."""
         total = 0
@@ -118,11 +118,11 @@ class VlgPattern:
             total += gap.upper
         return total
 
-    @property
+    @cached_property
     def bounded(self) -> bool:
         return all(gap.bounded for gap in self.gaps)
 
-    @property
+    @cached_property
     def max_match_span(self) -> int | None:
         """Longest possible match length, or None with unbounded gaps."""
         total = self.max_gap_sum

@@ -14,7 +14,6 @@ nodes that can no longer contribute.  Both require bounded gaps.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, NamedTuple
@@ -122,8 +121,8 @@ def report_chunked(pattern: VlgPattern, text: bytes | str, sink: Sink, *,
     A window claims a combination iff the match start falls inside the
     window's leading stride positions (the final window claims through the
     end of the text); the claim windows partition the text, and a claimed
-    match always fits inside its window.  The current and previous window
-    graphs are retained, nothing older.
+    match always fits inside its window.  At most two window graphs are
+    alive at once: the previous one is released only when the next is built.
     """
     data = ensure_bytes(text)
     span = pattern.max_match_span
@@ -133,14 +132,12 @@ def report_chunked(pattern: VlgPattern, text: bytes | str, sink: Sink, *,
     text_len = len(data)
     plan = plan_chunks(span, text_len, chunk_len)
     head_len = len(pattern.subpatterns[0])
-    retained: deque[GraphBuilder] = deque(maxlen=2)
     for index in range(plan.count):
         offset = index * plan.stride
         graph = build_implicit_gap_graph(pattern, data[offset:offset + plan.length])
-        retained.append(graph)
         counters.chunks += 1
-        if len(retained) > counters.peak_graphs:
-            counters.peak_graphs = len(retained)
+        # ``graph`` still held the previous window's graph while this one was built
+        counters.peak_graphs = min(counters.chunks, 2)
         claim_lo = offset + 1
         claim_hi = text_len if index == plan.count - 1 else offset + plan.stride
 

@@ -34,7 +34,8 @@ COMBO_FIVE = {
 GRAPH_PATTERN = "C.{0,3}G.{3,10}A"
 GRAPH_TEXT = b"CTGGCCCCGCTCCACGTTGAGCGGCGCTGAG"
 
-# Two-piece pattern for the dual coverage lists walkthrough.
+# Two-piece pattern whose final occurrence links to its first and last
+# of three compatible predecessors.
 DUAL_PATTERN = "AC.{1,5}T"
 DUAL_TEXT = b"GACACACCTGGCATAGCCGA"
 

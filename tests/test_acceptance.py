@@ -155,7 +155,8 @@ def test_criterion_06_range_list_peaks_within_arithmetic_bound(corpus):
 
 
 def test_criterion_07_coverage_list_peaks_within_width_bound(corpus):
-    with criterion(7, "dual coverage lists never exceed piece+gap+1 entries"):
+    with criterion(7, "predecessor lookups never see more than piece+gap+1 "
+                      "nodes from the window start on"):
         for pattern, text in corpus:
             builder = GraphBuilder(pattern)
             build_automaton(pattern.subpatterns).stream(text, builder.feed)

@@ -1,4 +1,4 @@
-"""Predecessor graph: dual coverage lists, node links, pruning."""
+"""Predecessor graph: node links, pruning."""
 
 from __future__ import annotations
 
@@ -9,109 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from vlgmatch.automaton import build_automaton
-from vlgmatch.gapgraph import (DualLists, GraphBuilder, GraphNode,
-                               build_implicit_gap_graph, iter_graph_lines,
+from vlgmatch.gapgraph import (GraphBuilder, GraphNode, build_implicit_gap_graph,
                                max_dual_ranges, tail_span_bounds)
 from vlgmatch.oracle import (brute_force_relevant, first_last_compatible,
                              is_compatible)
 from vlgmatch.pattern import GapBounds, parse_pattern
-
-
-def _node(layer, endpos, seq=0):
-    return GraphNode(layer, endpos, seq)
-
-
-def test_dual_append_walkthrough():
-    """Three overlapping appends; earliest-cover vs most-recent-cover."""
-    d = DualLists(sublen=1)
-    x1, x2, x3 = _node(1, 3), _node(1, 5), _node(1, 7)
-    d.append(5, 9, x1)
-    d.append(7, 11, x2)
-    d.append(9, 13, x3)
-    assert [(s, e, w.endpos) for s, e, w in d.first] == [
-        (5, 9, 3), (10, 11, 5), (12, 13, 7)]
-    assert [(s, e, w.endpos) for s, e, w in d.last] == [
-        (5, 6, 3), (7, 8, 5), (9, 13, 7)]
-
-
-def test_dual_append_to_empty():
-    d = DualLists(sublen=2)
-    x = _node(1, 4)
-    d.append(8, 9, x)
-    assert d.first == [(8, 9, x)] and d.last == [(8, 9, x)]
-
-
-def test_dual_append_truncates_previous_cover():
-    d = DualLists(sublen=1)
-    w, x = _node(1, 1), _node(1, 2)
-    d.append(10, 20, w)
-    d.append(12, 15, x)
-    # fully covered already, so no new first-cover entry
-    assert [(s, e) for s, e, _ in d.first] == [(10, 20)]
-    assert [(s, e, o.endpos) for s, e, o in d.last] == [(10, 11, 1), (12, 15, 2)]
-
-
-def test_dual_append_replaces_swallowed_cover():
-    d = DualLists(sublen=1)
-    w, x = _node(1, 1), _node(1, 2)
-    d.append(10, 12, w)
-    d.append(10, 15, x)
-    assert [(s, e, o.endpos) for s, e, o in d.last] == [(10, 15, 2)]
-    assert [(s, e, o.endpos) for s, e, o in d.first] == [(10, 12, 1), (13, 15, 2)]
-
-
-def test_dual_purge_both_lists():
-    d = DualLists(sublen=1)
-    x1, x2, x3 = _node(1, 3), _node(1, 5), _node(1, 7)
-    d.append(5, 9, x1)
-    d.append(7, 11, x2)
-    d.append(9, 13, x3)
-    d.purge_dead(12)  # cutoff 12: ends 9, 11 die in first; 6, 8 die in last
-    assert [(s, e) for s, e, _ in d.first] == [(12, 13)]
-    assert [(s, e) for s, e, _ in d.last] == [(9, 13)]
-
-
-def test_dual_coverage_stays_identical():
-    rng = random.Random(11)
-    for width in (0, 2, 5):
-        d = DualLists(sublen=1)
-        pos = 0
-        for seq in range(60):
-            pos += rng.randint(1, 4)
-            d.append(pos, pos + width, _node(1, pos, seq))
-            covered_first = {p for s, e, _ in d.first for p in range(s, e + 1)}
-            covered_last = {p for s, e, _ in d.last for p in range(s, e + 1)}
-            assert covered_first == covered_last
-            for entries in (d.first, d.last):
-                starts = [s for s, _, _ in entries]
-                ends = [e for _, e, _ in entries]
-                assert starts == sorted(starts) and ends == sorted(ends)
-                assert all(s <= e for s, e, _ in entries)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(1, 4), min_size=1, max_size=40),
-       st.integers(0, 6), st.integers(0, 6))
-def test_dual_lists_track_earliest_and_latest_creator(steps, lower, extra):
-    """Per-position creator maps derived straight from the append sequence."""
-    gap = GapBounds(lower, lower + extra)
-    d = DualLists(sublen=1)
-    first_by_pos: dict[int, int] = {}
-    last_by_pos: dict[int, int] = {}
-    pos = 0
-    for seq, advance in enumerate(steps):
-        pos += advance
-        start, end = pos + gap.lower + 1, pos + gap.upper + 1
-        d.append(start, end, _node(1, pos, seq))
-        for p in range(start, end + 1):
-            first_by_pos.setdefault(p, pos)
-            last_by_pos[p] = pos
-    got_first = {p: origin.endpos
-                 for s, e, origin in d.first for p in range(s, e + 1)}
-    got_last = {p: origin.endpos
-                for s, e, origin in d.last for p in range(s, e + 1)}
-    assert got_first == first_by_pos
-    assert got_last == last_by_pos
 
 
 def test_two_piece_graph_links_first_and_last_predecessor():
@@ -129,7 +31,6 @@ def test_single_predecessor_collapses_to_one_edge():
     node = graph.layer(2)[0]
     assert node.first is node.last
     assert node.out_degree == 1
-    assert list(iter_graph_lines(graph)) == ["N 1 1", "N 2 2", "E 2 2 1 1"]
 
 
 def test_three_piece_graph_structure():
@@ -224,12 +125,30 @@ def test_graph_links_match_oracle_and_stay_convex(seed):
     graph = build_implicit_gap_graph(pattern, text)
     links = {(n.layer, n.endpos): (n.first.endpos, n.last.endpos)
              for n in graph.nodes() if n.layer > 1}
-    assert links == first_last_compatible(pattern, text)
+    expected = first_last_compatible(pattern, text)
+    assert links == expected
     for node in graph.nodes():
         if node.layer == 1:
             continue
         for pred in graph.run_between(node.first, node.last):
             assert is_compatible(pattern, node.layer, pred.endpos, node.endpos)
+    # the pruned builder searches only the nodes it still retains
+    k = pattern.num_subpatterns
+    if k == 1:
+        return
+    relevant = brute_force_relevant(pattern, text)
+    handed: list[int] = []
+
+    def on_match(node):
+        handed.append(node.endpos)
+        assert (node.first.endpos, node.last.endpos) == expected[(k, node.endpos)]
+        run = [pred.endpos for pred in pruned.run_between(node.first, node.last)]
+        assert run == [end for end in relevant[k - 2]
+                       if is_compatible(pattern, k, end, node.endpos)]
+
+    pruned = GraphBuilder(pattern, prune=True, on_match=on_match)
+    _feed_graph(pruned, pattern, text)
+    assert handed == relevant[k - 1]
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+from vlgmatch import reporter
 from vlgmatch.gapgraph import build_implicit_gap_graph, tail_span_bounds
 from vlgmatch.oracle import brute_force_combinations, combination_count
 from vlgmatch.pattern import parse_pattern
@@ -157,6 +160,26 @@ def test_chunked_counters_and_retention():
     assert counters.emitted == 17
     single = report_chunked(pattern, helpers.EXAMPLE_TEXT, lambda combo: None)
     assert single.chunks == 1 and single.peak_graphs == 1
+
+
+def test_chunked_keeps_at_most_two_window_graphs_alive(monkeypatch):
+    """Weak references to every window graph, counted as each is built."""
+    refs: list[weakref.ref] = []
+    alive: list[int] = []
+
+    def build(pattern, text):
+        graph = build_implicit_gap_graph(pattern, text)
+        refs.append(weakref.ref(graph))
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        return graph
+
+    monkeypatch.setattr(reporter, "build_implicit_gap_graph", build)
+    pattern = parse_pattern(helpers.COMBO_PATTERN)
+    counters = report_chunked(pattern, helpers.EXAMPLE_TEXT, lambda combo: None,
+                              chunk_len=pattern.max_match_span)
+    assert len(alive) == counters.chunks > 2
+    assert max(alive) == counters.peak_graphs == 2
 
 
 def test_chunk_length_sweep_reports_each_combination_once():
