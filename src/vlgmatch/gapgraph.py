@@ -136,7 +136,7 @@ class GraphBuilder:
         if layer == 1:
             first = last = None
         else:
-            # pruning keeps every node searched here: a layer-(i-1) node
+            # pruning keeps every node searched here: a previous-layer node
             # goes only once pos passes its end by its tail span, which is
             # at least this gap's upper bound plus this piece's length
             prev = self._nodes[layer - 1]
