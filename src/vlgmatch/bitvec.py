@@ -28,6 +28,7 @@ from bisect import bisect_left, bisect_right
 from itertools import compress
 from typing import Iterator
 
+from .gapgraph import Run, expand
 from .pattern import VlgPattern, ensure_bytes
 
 # The CLI runs this engine for patterns with at most MAX_SIGMA distinct
@@ -45,8 +46,6 @@ MIN_BLOCK = 1024
 
 # "0"/"1" digits to false/true selectors for itertools.compress
 _SELECT = bytes.maketrans(b"01", b"\0\1")
-
-Run = tuple[tuple[int, ...], list[int]]
 
 
 def suits(pattern: VlgPattern) -> bool:
@@ -160,12 +159,10 @@ class BitPlan:
             yield from _positions(layers[-1], stop)
 
     def runs(self, text: bytes | str) -> Iterator[Run]:
-        """Every combination, as runs ``(suffix, firsts)``.
+        """Every combination, as ``gapgraph`` runs ``(suffix, firsts)``.
 
-        A run stands for the combinations ``(e1, *suffix)`` for ``e1`` in
-        ``firsts``, ascending.  They come in ``report_on_the_fly``'s
-        order: by last end, then by the earlier ends from the last to the
-        first.  Requires bounded gaps.
+        They come in ``report_on_the_fly``'s order: by last end, then by
+        the earlier ends from the last to the first.  Requires bounded gaps.
         """
         keep = self._combos_keep
         if keep is None:
@@ -183,39 +180,14 @@ class BitPlan:
                 width = min(width, window)
                 found = layers[i] & _smear_later(found << (shift + width - 1), width)
                 ends.append(list(_positions(found, stop)))
+            # the graph format of ``gapgraph``, every index absolute with base 0
             ends.reverse()
-            yield from _expand(ends, gaps)
-
-
-def _expand(ends: list[list[int]], gaps: list[tuple[int, int]]) -> Iterator[Run]:
-    """Runs of the combinations through per-layer sorted end lists.
-
-    Depth first with an explicit stack, so the depth is not limited by
-    the interpreter; a layer-3 end yields the runs of its layer-2 ends in
-    one loop.  Every listed end lies on some combination, so no run is
-    empty.
-    """
-    if len(ends) == 1:
-        yield (), ends[0]
-        return
-
-    def between(layer: int, end: int) -> list[int]:
-        # ends of ``layer`` (0-based) that ``end`` on the next layer can follow
-        shift, width = gaps[layer]
-        preds = ends[layer]
-        lo = bisect_left(preds, end - shift - width + 1)
-        return preds[lo:bisect_right(preds, end - shift, lo)]
-
-    top = len(ends) - 1
-    stack = [(top, end, ()) for end in reversed(ends[top])]
-    pop, push = stack.pop, stack.extend
-    while stack:
-        layer, end, suffix = pop()
-        suffix = (end, *suffix)
-        if layer == 1:
-            yield suffix, between(0, end)
-        elif layer == 2:
-            for second in between(1, end):
-                yield (second, *suffix), between(0, second)
-        else:
-            push((layer - 1, pred, suffix) for pred in reversed(between(layer - 1, end)))
+            graph = [((), (), ()), (ends[0], (), ())]
+            for (shift, width), preds, here in zip(gaps, ends, ends[1:]):
+                firsts, lasts = [], []  # a loop: most blocks hold a node or two
+                for end in here:
+                    at = bisect_left(preds, end - shift - width + 1)
+                    firsts.append(at)
+                    lasts.append(bisect_right(preds, end - shift, at) - 1)
+                graph.append((here, firsts, lasts))
+            yield from expand(graph, [0] * len(graph))

@@ -207,19 +207,18 @@ def _graph(args, pattern, docs, fasta) -> None:
         graph = build_implicit_gap_graph(pattern, doc.sequence)
         if args.format == "text":
             prefix = f"{doc.ident}:" if fasta else ""
-            for node in graph.nodes():
-                write(f"{prefix}N {node.layer} {node.endpos}\n")
-            for node, pred in graph.edges():
-                write(f"{prefix}E {node.layer} {node.endpos} "
-                      f"{pred.layer} {pred.endpos}\n")
+            for layer, end in graph.nodes():
+                write(f"{prefix}N {layer} {end}\n")
+            for layer, end, pred in graph.edges():
+                write(f"{prefix}E {layer} {end} {layer - 1} {pred}\n")
             continue
         record = {"record": doc.ident} if fasta else {}
-        for node in graph.nodes():
-            write(json.dumps({"type": "node", "layer": node.layer, "end": node.endpos,
+        for layer, end in graph.nodes():
+            write(json.dumps({"type": "node", "layer": layer, "end": end,
                               **record}) + "\n")
-        for node, pred in graph.edges():
-            write(json.dumps({"type": "edge", "layer": node.layer, "end": node.endpos,
-                              "pred_layer": pred.layer, "pred_end": pred.endpos,
+        for layer, end, pred in graph.edges():
+            write(json.dumps({"type": "edge", "layer": layer, "end": end,
+                              "pred_layer": layer - 1, "pred_end": pred,
                               **record}) + "\n")
 
 

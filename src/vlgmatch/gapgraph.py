@@ -8,10 +8,14 @@ is recoverable on demand and the stored graph stays linear in the number
 of occurrences with out-degree at most 2.
 
 A node's compatible predecessors are the previous layer's nodes that end
-inside the gap window before its start.  Each layer keeps its nodes in
-ascending end order, so two binary searches over the previous layer find
-that run; the occurrence is relevant iff the run is nonempty, and the
-run's first and last nodes are the two links.
+inside the gap window before its start.  Each layer keeps its nodes' ends
+in one ascending list of ints, so two binary searches find that run; the
+occurrence is relevant iff the run is nonempty.  Two parallel lists hold
+the links as absolute indices, which count every node a layer has ever
+retained; a layer's base is the absolute index of its first retained
+node, so dropping a prefix leaves every link valid.  ``expand`` reads
+the combinations out of these lists for the reporters and for the bit
+engine (``bitvec``), which builds them per text block.
 
 Gap upper bounds must be bounded here; the decision matcher handles the
 unbounded case.
@@ -21,38 +25,46 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable, Iterator
 
 from .automaton import OccEvent
 from .pattern import GapBounds, VlgPattern
 
-
-class GraphNode:
-    """A relevant occurrence: (layer, end position) plus predecessor links."""
-
-    __slots__ = ("layer", "endpos", "seq", "first", "last")
-
-    def __init__(self, layer: int, endpos: int, seq: int,
-                 first: "GraphNode | None" = None,
-                 last: "GraphNode | None" = None) -> None:
-        self.layer = layer
-        self.endpos = endpos
-        self.seq = seq  # creation index within the layer
-        self.first = first
-        self.last = last
-
-    @property
-    def out_degree(self) -> int:
-        if self.first is None:
-            return 0
-        return 1 if self.first is self.last else 2
-
-    def __repr__(self) -> str:
-        return f"GraphNode(layer={self.layer}, endpos={self.endpos})"
+# A run ``(suffix, firsts)`` stands for the combinations ``(e1, *suffix)``
+# for ``e1`` in ``firsts``, ascending.
+Run = tuple[tuple[int, ...], list[int]]
 
 
-_endpos = attrgetter("endpos")
+def expand(layers: list[tuple[list[int], list[int], list[int]]], base: list[int],
+           frame: tuple[int, int, int, tuple] | None = None) -> Iterator[Run]:
+    """Runs, depth first, of the combinations through a frame ``(layer, lo,
+    hi, suffix)``: nodes ``lo..hi`` (absolute indices) of ``layer``, followed
+    by the later ends ``suffix``; by default, of every combination.
+
+    ``layers`` holds each layer's ends, firsts and lasts, and ``base`` its
+    base, both indexed by layer from 1.  Runs come by the later ends from
+    the last to the first, each ascending.  An explicit stack replaces
+    recursion, so the depth is not limited by the interpreter.
+    """
+    if frame is None:
+        k = len(layers) - 1
+        frame = (k, base[k], base[k] + len(layers[k][0]) - 1, ())
+    ends1, base1 = layers[1][0], base[1]
+    stack = [frame]
+    pop, push = stack.pop, stack.append
+    while stack:
+        layer, lo, hi, suffix = pop()
+        if layer == 1:  # only a starting frame; layer 2 yields its own runs
+            yield suffix, ends1[lo - base1:hi - base1 + 1]
+            continue
+        at = base[layer]
+        here, first, last = layers[layer]
+        if layer == 2:  # each node's layer-1 run is one slice
+            for j in range(lo - at, hi - at + 1):
+                yield (here[j],) + suffix, ends1[first[j] - base1:last[j] - base1 + 1]
+            continue
+        for j in range(hi - at, lo - at - 1, -1):
+            push((layer - 1, first[j], last[j], (here[j],) + suffix))
 
 
 def tail_span_bounds(pattern: VlgPattern) -> tuple[int, ...]:
@@ -102,121 +114,111 @@ class GraphBuilder:
     that can no longer take part in any match ending at or after the
     current position are dropped as the scan advances, and final-layer
     nodes are handed to ``on_match`` at creation instead of being
-    retained.  The read methods (``layer``, ``nodes``, ``edges``,
-    ``run_between``, ...) see the nodes retained so far.
+    retained.  ``on_match`` receives ``(end, first, last)``: the node's end
+    and its links, absolute indices into layer k - 1 (None for k = 1).
+    The read methods (``layer``, ``links``, ``nodes``, ``edges``) see the
+    nodes retained so far.
     """
 
     def __init__(self, pattern: VlgPattern, *, prune: bool = False,
-                 on_match: Callable[[GraphNode], None] | None = None) -> None:
+                 on_match: Callable[[tuple], None] | None = None) -> None:
         if not pattern.bounded:
             raise ValueError("gap graph requires bounded gap upper bounds")
-        self.pattern = pattern
-        self._k = pattern.num_subpatterns
-        self._sublen = [len(piece) for piece in pattern.subpatterns]
-        # index 0 unused; layer lists hold retained nodes, ascending endpos
-        self._nodes: list[list[GraphNode]] = [[] for _ in range(self._k + 1)]
-        # per layer, the seq of the first retained node
-        self._seq_base = [0] * (self._k + 1)
-        self._next_seq = [0] * (self._k + 1)
+        self._k = k = pattern.num_subpatterns
+        # per layer from the second, how far before a node's end its
+        # predecessors end, farthest first
+        self._window = [(len(piece) + gap.upper, len(piece) + gap.lower)
+                        for gap, piece in zip(pattern.gaps, pattern.subpatterns[1:])]
+        # per layer from 1: the retained nodes and the first one's absolute index
+        self._layers = [([], [], []) for _ in range(k + 1)]
+        self._base = [0] * (k + 1)
         self._live = 0
         self.prune = prune
         self.on_match = on_match
-        self.tail_spans = tail_span_bounds(pattern)
-        self.counters = GraphCounters(peak_dual_ranges=[0] * (self._k - 1))
+        # only pruning reads the tail spans
+        self._horizons = tail_span_bounds(pattern) if prune else ()
+        self.counters = GraphCounters(peak_dual_ranges=[0] * (k - 1))
 
     def feed(self, event: OccEvent) -> None:
-        if self.prune:
-            self.purge_dead_nodes(event.position)
-        for layer in event.layers:
-            self._step(layer, event.position)
-
-    def _step(self, layer: int, pos: int) -> None:
+        pos = event.position
         counters = self.counters
-        counters.occurrences += 1
-        if layer == 1:
+        for layer in event.layers:
+            counters.occurrences += 1
             first = last = None
-        else:
-            # pruning keeps every node searched here: a previous-layer node
-            # goes only once pos passes its end by its tail span, which is
-            # at least this gap's upper bound plus this piece's length
-            prev = self._nodes[layer - 1]
-            gap = self.pattern.gaps[layer - 2]
-            start = pos - self._sublen[layer - 1] + 1
-            lo = bisect_left(prev, start - gap.upper - 1, key=_endpos)
-            hi = bisect_right(prev, start - gap.lower - 1, lo, key=_endpos)
-            if len(prev) - lo > counters.peak_dual_ranges[layer - 2]:
-                counters.peak_dual_ranges[layer - 2] = len(prev) - lo
-            if lo == hi:
-                return
-            first, last = prev[lo], prev[hi - 1]
-        node = GraphNode(layer, pos, self._next_seq[layer], first, last)
-        self._next_seq[layer] += 1
-        counters.nodes_created += 1
-        terminal = layer == self._k
-        if terminal and self.on_match is not None:
-            self.on_match(node)
-        if terminal and self.prune:
-            live_now = self._live + 1  # the node existed transiently
-        else:
-            self._nodes[layer].append(node)
+            if layer > 1:
+                # pruning keeps every node searched here: a previous-layer
+                # node goes only once pos passes its end by its tail span,
+                # at least this gap's upper bound plus this piece's length
+                if self.prune:
+                    self._purge(layer - 1, pos)
+                prev = self._layers[layer - 1][0]
+                far, near = self._window[layer - 2]
+                lo = bisect_left(prev, pos - far)
+                hi = bisect_right(prev, pos - near, lo)
+                if len(prev) - lo > counters.peak_dual_ranges[layer - 2]:
+                    counters.peak_dual_ranges[layer - 2] = len(prev) - lo
+                if lo == hi:
+                    continue
+                at = self._base[layer - 1]
+                first, last = at + lo, at + hi - 1
+            counters.nodes_created += 1
+            if layer == self._k:
+                if self.on_match is not None:
+                    self.on_match((pos, first, last))
+                if self.prune:  # the node exists only transiently
+                    counters.peak_live_nodes = max(counters.peak_live_nodes,
+                                                   self._live + 1)
+                    continue
+            if self.prune:
+                self._purge(layer, pos)
+            ends, firsts, lasts = self._layers[layer]
+            ends.append(pos)
+            if first is not None:
+                firsts.append(first)
+                lasts.append(last)
             self._live += 1
-            live_now = self._live
-        if live_now > counters.peak_live_nodes:
-            counters.peak_live_nodes = live_now
+            if self._live > counters.peak_live_nodes:
+                counters.peak_live_nodes = self._live
 
-    def purge_dead_nodes(self, pos: int) -> int:
-        """Drop nodes that cannot belong to any match ending at or after ``pos``."""
-        removed = 0
-        for layer in range(1, self._k + 1):
-            nodes = self._nodes[layer]
-            horizon = self.tail_spans[layer - 1]
-            j = 0
-            while j < len(nodes) and pos > nodes[j].endpos + horizon:
-                j += 1
-            if j:
-                del nodes[:j]
-                self._seq_base[layer] += j
-                removed += j
-        if removed:
-            self._live -= removed
-            self.counters.nodes_purged += removed
-        return removed
+    def _purge(self, layer: int, pos: int) -> None:
+        """Drop ``layer``'s nodes that no match ending at or after ``pos`` can
+        use.  Purged before it grows, a layer holds at most 1 + its tail span."""
+        ends, firsts, lasts = self._layers[layer]
+        horizon = pos - self._horizons[layer - 1]
+        if ends and ends[0] < horizon:
+            gone = bisect_left(ends, horizon)
+            del ends[:gone], firsts[:gone], lasts[:gone]
+            self._base[layer] += gone
+            self._live -= gone
+            self.counters.nodes_purged += gone
 
     def finish(self) -> "GraphBuilder":
         """The graph as built so far; the builder itself answers graph queries."""
         return self
 
-    @property
-    def num_layers(self) -> int:
-        return self._k
+    def layer(self, index: int) -> list[int]:
+        """End positions of one layer's retained nodes (1-based), ascending."""
+        return self._layers[index][0]
 
-    def layer(self, index: int) -> list[GraphNode]:
-        """Retained nodes of one layer (1-based), ascending by end position."""
-        return self._nodes[index]
+    def links(self, index: int) -> Iterator[tuple[int, int, int]]:
+        """``(end, first_end, last_end)`` per retained node of a layer after the first."""
+        prev, at = self._layers[index - 1][0], self._base[index - 1]
+        for end, first, last in zip(*self._layers[index]):
+            yield end, prev[first - at], prev[last - at]
 
-    def index(self, node: GraphNode) -> int:
-        """Position of a retained node within ``layer(node.layer)``."""
-        return node.seq - self._seq_base[node.layer]
-
-    def run_between(self, first: GraphNode, last: GraphNode) -> list[GraphNode]:
-        """Retained nodes of first's layer from ``first`` to ``last`` inclusive."""
-        start = self.index(first)
-        return self._nodes[first.layer][start:start + last.seq - first.seq + 1]
-
-    def nodes(self) -> Iterator[GraphNode]:
+    def nodes(self) -> Iterator[tuple[int, int]]:
+        """``(layer, end)`` per retained node, by layer, then by end."""
         for layer in range(1, self._k + 1):
-            yield from self._nodes[layer]
+            for end in self._layers[layer][0]:
+                yield layer, end
 
-    def edges(self) -> Iterator[tuple[GraphNode, GraphNode]]:
-        """(node, predecessor) pairs; a single pair when the links coincide."""
+    def edges(self) -> Iterator[tuple[int, int, int]]:
+        """``(layer, end, pred_end)`` per link; a single one when the links coincide."""
         for layer in range(2, self._k + 1):
-            for node in self._nodes[layer]:
-                yield node, node.first
-                if node.last is not node.first:
-                    yield node, node.last
-
-    def end_positions(self, layer: int) -> list[int]:
-        return [node.endpos for node in self._nodes[layer]]
+            for end, first, last in self.links(layer):
+                yield layer, end, first
+                if last != first:
+                    yield layer, end, last
 
 
 def build_implicit_gap_graph(pattern: VlgPattern,

@@ -16,49 +16,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
-from .gapgraph import GraphBuilder, GraphCounters, GraphNode, build_implicit_gap_graph
+from .gapgraph import GraphBuilder, GraphCounters, Run, build_implicit_gap_graph, expand
 from .pattern import VlgPattern, ensure_bytes
 
 Combination = tuple[int, ...]
 Sink = Callable[[Combination], None]
 
 
-def _expand(node: GraphNode, run_between, combo: list[int], sink: Sink) -> int:
-    """Emit every combination ending in ``node``, in depth-first order.
-
-    An explicit stack replaces recursion, so the depth is not limited by
-    the interpreter; layer-2 nodes emit their layer-1 run in one loop.
-    """
-    if node.layer == 1:
-        combo[0] = node.endpos
-        sink(tuple(combo))
-        return 1
+def _flatten(runs: Iterable[Run], sink: Sink) -> int:
+    """Hand each combination of ``runs`` to ``sink``; returns the count."""
     emitted = 0
-    stack = [node]
-    pop, push = stack.pop, stack.extend
-    while stack:
-        node = pop()
-        combo[node.layer - 1] = node.endpos
-        run = run_between(node.first, node.last)
-        if node.layer > 2:
-            push(reversed(run))
-            continue
-        for pred in run:
-            combo[0] = pred.endpos
+    for suffix, firsts in runs:
+        combo = [0, *suffix]  # one list per run, one tuple per combination
+        for first in firsts:
+            combo[0] = first
             sink(tuple(combo))
-        emitted += len(run)
+        emitted += len(firsts)
     return emitted
 
 
 def expand_combinations(graph: GraphBuilder, sink: Sink) -> int:
     """Emit every combination encoded in ``graph``; returns the count."""
-    combo = [0] * graph.num_layers
-    emitted = 0
-    for node in graph.layer(graph.num_layers):
-        emitted += _expand(node, graph.run_between, combo, sink)
-    return emitted
+    return _flatten(expand(graph._layers, graph._base), sink)
 
 
 def count_combinations(graph: GraphBuilder) -> int:
@@ -67,12 +48,12 @@ def count_combinations(graph: GraphBuilder) -> int:
     Path counting with prefix sums; exact (Python integers do not
     overflow), linear in the number of nodes.
     """
-    index = graph.index
     counts = [1] * len(graph.layer(1))
-    for layer in range(2, graph.num_layers + 1):
+    # each later layer's links index into the layer before, from its base
+    for at, (_, firsts, lasts) in zip(graph._base[1:], graph._layers[2:]):
         prefix = [0, *accumulate(counts)]
-        counts = [prefix[index(node.last) + 1] - prefix[index(node.first)]
-                  for node in graph.layer(layer)]
+        counts = [prefix[last - at + 1] - prefix[first - at]
+                  for first, last in zip(firsts, lasts)]
     return sum(counts)
 
 
@@ -138,6 +119,8 @@ def report_chunked(pattern: VlgPattern, text: bytes | str, sink: Sink, *,
         counters.chunks += 1
         # ``graph`` still held the previous window's graph while this one was built
         counters.peak_graphs = min(counters.chunks, 2)
+        if not graph.layer(pattern.num_subpatterns):
+            continue  # most windows of sparse text hold no match
         claim_lo = offset + 1
         claim_hi = text_len if index == plan.count - 1 else offset + plan.stride
 
@@ -159,11 +142,16 @@ def report_on_the_fly(pattern: VlgPattern, text: bytes | str,
     Returns the graph builder's counters, whose peak_live_nodes field
     witnesses the bounded working set.
     """
-    combo = [0] * pattern.num_subpatterns
+    below = pattern.num_subpatterns - 1
 
-    def on_match(node: GraphNode) -> None:
-        _expand(node, builder.run_between, combo, sink)
+    def on_match(node: tuple[int, int | None, int | None]) -> None:
+        end, first, last = node
+        if first is None:
+            sink((end,))
+        else:
+            _flatten(expand(layers, base, (below, first, last, (end,))), sink)
 
     builder = GraphBuilder(pattern, prune=True, on_match=on_match)
+    layers, base = builder._layers, builder._base
     pattern.automaton.stream(text, builder.feed)
     return builder.counters

@@ -175,28 +175,25 @@ def test_criterion_08_graph_structure_matches_oracle(corpus):
             graph = build_implicit_gap_graph(pattern, text)
             relevant = brute_force_relevant(pattern, text)
             for layer in range(1, pattern.num_subpatterns + 1):
-                assert graph.end_positions(layer) == relevant[layer - 1]
+                assert graph.layer(layer) == relevant[layer - 1]
             links = {}
-            for node in graph.nodes():
-                assert node.out_degree <= 2
-                if node.layer == 1:
-                    continue
-                links[(node.layer, node.endpos)] = (node.first.endpos,
-                                                    node.last.endpos)
-                prev = relevant[node.layer - 2]
-                lo = prev.index(node.first.endpos)
-                hi = prev.index(node.last.endpos)
-                run = graph.run_between(node.first, node.last)
-                assert [p.endpos for p in run] == prev[lo:hi + 1]
-                for pred in run:
-                    assert is_compatible(pattern, node.layer,
-                                         pred.endpos, node.endpos)
-                if lo > 0:
-                    assert not is_compatible(pattern, node.layer,
-                                             prev[lo - 1], node.endpos)
-                if hi + 1 < len(prev):
-                    assert not is_compatible(pattern, node.layer,
-                                             prev[hi + 1], node.endpos)
+            for layer in range(2, pattern.num_subpatterns + 1):
+                # each node stores exactly two links, first <= last
+                for end, first, last in graph.links(layer):
+                    assert first <= last
+                    links[(layer, end)] = (first, last)
+                    prev = relevant[layer - 2]
+                    lo = prev.index(first)
+                    hi = prev.index(last)
+                    ends = graph.layer(layer - 1)
+                    run = ends[ends.index(first):ends.index(last) + 1]
+                    assert run == prev[lo:hi + 1]
+                    for pred in run:
+                        assert is_compatible(pattern, layer, pred, end)
+                    if lo > 0:
+                        assert not is_compatible(pattern, layer, prev[lo - 1], end)
+                    if hi + 1 < len(prev):
+                        assert not is_compatible(pattern, layer, prev[hi + 1], end)
             assert links == first_last_compatible(pattern, text)
 
 

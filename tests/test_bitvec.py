@@ -9,10 +9,13 @@ from collections import deque
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from vlgmatch.bitvec import MIN_BLOCK, BitPlan
-from vlgmatch.oracle import brute_force_endpoints, combination_count
+from vlgmatch.bitvec import MAX_LITERAL, MIN_BLOCK, BitPlan
+from vlgmatch.gapgraph import build_implicit_gap_graph
+from vlgmatch.oracle import (brute_force_combinations, brute_force_endpoints,
+                             combination_count)
 from vlgmatch.pattern import GapBounds, VlgPattern
-from vlgmatch.reporter import report_on_the_fly
+from vlgmatch.reporter import (count_combinations, expand_combinations,
+                               report_chunked, report_on_the_fly)
 
 ALPHABETS = [b"AC", b"ACGT", bytes(range(0x80, 0x88)), bytes(range(256))]
 HUGE = 10**9
@@ -181,3 +184,79 @@ def test_memory_flat_in_text_length():
             tracemalloc.stop()
     for name, sizes in peaks.items():
         assert max(sizes) < 32_000, (name, sizes)
+
+
+def _deep_instance(seed: int) -> tuple[VlgPattern, bytes]:
+    """100 to 300 pieces of 1 to 3 DNA bytes on random DNA with one to
+    three matches planted.
+
+    Half the gaps are exact and the rest one to three positions wide; an
+    instance is drawn again until the oracle can list its combinations.
+    """
+    rng = random.Random(seed)
+    while True:
+        k = rng.randint(100, 300)
+        pieces = [bytes(rng.choices(b"ACGT", k=rng.randint(1, 3))) for _ in range(k)]
+        gaps = []
+        for _ in range(k - 1):
+            lower = rng.randint(0, 3)
+            gaps.append((lower, lower + (rng.randint(1, 3) if rng.random() < 0.5 else 0)))
+        pattern = helpers.make_pattern(pieces, gaps)
+        span = pattern.max_match_span
+        text = bytearray(_dna(rng, rng.randint(span, 3 * span)))
+        for _ in range(rng.randint(1, 3)):
+            _plant(rng, text, pattern, rng.randrange(len(text) - span + 1))
+        if combination_count(pattern, bytes(text)) <= 20_000:
+            return pattern, bytes(text)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32))
+def test_hundreds_of_pieces_through_every_engine(seed):
+    pattern, text = _deep_instance(seed)
+    expected = brute_force_combinations(pattern, text)
+    assert expected
+    assert list(pattern.bitplan.ends(text)) == brute_force_endpoints(pattern, text)
+    streamed = _streamed(pattern, text)
+    assert _bits(pattern, text) == streamed
+    assert len(streamed) == len(expected) and set(streamed) == expected
+    graph = build_implicit_gap_graph(pattern, text)
+    assert count_combinations(graph) == len(expected)
+    expanded: list[tuple[int, ...]] = []
+    assert expand_combinations(graph, expanded.append) == len(expected)
+    assert set(expanded) == expected
+    chunked: list[tuple[int, ...]] = []
+    report_chunked(pattern, text, chunked.append)
+    assert len(chunked) == len(expected) and set(chunked) == expected
+
+
+def test_literals_of_thousands_of_bytes():
+    """Pieces far past MAX_LITERAL, which the CLI never gives the bit
+    engine, with occurrences across block boundaries.
+
+    A block is at least as long as the longest piece: 3,000 bytes for the
+    two literals, and 2,000 (ends) or 2,007 (runs) for the 2,000-byte
+    piece with a short piece after it.
+    """
+    rng = random.Random(11)
+    literal = rng.randbytes(3000)  # every byte value, one mask each
+    text = bytearray(rng.randbytes(9500))
+    for start in (50, 3100, 6200):  # ends 3050, 6100 and 9200
+        text[start:start + len(literal)] = literal
+    periodic = b"ACGT" * 750  # overlapping occurrences every 4 positions
+    tail = helpers.make_pattern([rng.choices(b"ACGT", k=2000), b"GT"], [(0, 6)])
+    dna = bytearray(_dna(rng, 9000))
+    for start in (1000, 3500, 6000):  # across the boundaries of both block sizes
+        dna[start:start + 2000] = tail.subpatterns[0]
+        dna[start + 2000:start + 2009] = b"AGTCGTGTA"  # three GT within the gap
+    cases = [(helpers.make_pattern([literal], []), bytes(text), 3),
+             (helpers.make_pattern([periodic], []), b"ACGT" * 2375, 1626),
+             (tail, bytes(dna), 9)]
+    for pattern, data, count in cases:
+        assert pattern.literal_length > MAX_LITERAL
+        expected = brute_force_endpoints(pattern, data)
+        assert list(pattern.bitplan.ends(data)) == expected
+        combos = _bits(pattern, data)
+        assert combos == _streamed(pattern, data)
+        assert len(combos) == len(set(combos)) == count
+        assert set(combos) == brute_force_combinations(pattern, data)

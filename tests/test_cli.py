@@ -302,13 +302,30 @@ FASTA_SAMPLE = (b">seq1 first record\n"
                 b">seq2\nGTGT\n")
 
 
-def test_fasta_records_searched_independently(capsys, tmp_path):
+FASTA_GT_ENDS = "seq1:17\nseq1:23\nseq1:28\nseq1:31\nseq2:2\nseq2:4\n"
+FASTA_GT_STATS = ("n {n}\nm 2\nk 1\nA 0\nB 0\nalpha {a}\nlayer_occurrences {a}\n"
+                  "matches {a}\nbeta {a}\npeak_ranges -\n")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["match"], FASTA_GT_ENDS),
+    (["combos"], FASTA_GT_ENDS),
+    (["combos", "--engine", "onthefly"], FASTA_GT_ENDS),
+    (["combos", "--engine", "chunked"], FASTA_GT_ENDS),
+    (["graph"], "seq1:N 1 17\nseq1:N 1 23\nseq1:N 1 28\nseq1:N 1 31\n"
+                "seq2:N 1 2\nseq2:N 1 4\n"),
+    (["stats"], "record seq1\n" + FASTA_GT_STATS.format(n=31, a=4)
+                + "record seq2\n" + FASTA_GT_STATS.format(n=4, a=2)),
+], ids=["match", "combos", "combos-onthefly", "combos-chunked", "graph", "stats"])
+def test_fasta_records_searched_independently(capsys, tmp_path, argv, expected):
+    """Every engine skips the empty ``hollow`` record with one warning."""
     path = tmp_path / "r.fa"
     path.write_bytes(FASTA_SAMPLE)
-    code, out, err = _run(capsys, ["match", "-p", "GT", "-t", str(path)])
+    code, out, err = _run(capsys, [*argv, "-p", "GT", "-t", str(path)])
     assert code == 0
-    assert out == "seq1:17\nseq1:23\nseq1:28\nseq1:31\nseq2:2\nseq2:4\n"
+    assert out == expected
     assert "hollow" in err and "empty sequence" in err
+    assert err.count("hollow") == 1
 
 
 def test_fasta_json_carries_record_ids(capsys, tmp_path):
