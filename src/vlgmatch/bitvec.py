@@ -17,9 +17,9 @@ from the previous layer's earliest relevant end plus a + p on.  The last
 enough to reach every predecessor of an occurrence in it.
 
 ``BitPlan.ends`` reads the match ends off the last layer.
-``BitPlan.runs`` then passes backward from the block's match ends.  It
-keeps only occurrences on some match ending in the block and expands the
-combinations from those per-layer end lists.
+``BitPlan.runs`` then passes backward from the block's match ends,
+keeping only occurrences on some match ending in the block, links each
+to its predecessor run once and expands them with ``gapgraph.expand``.
 """
 
 from __future__ import annotations

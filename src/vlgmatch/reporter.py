@@ -1,9 +1,9 @@
 """Enumerate full match combinations from the predecessor graph.
 
 A combination is the tuple of end positions (e1, ..., ek), one per layer,
-of occurrences that chain together into a match.  Expansion walks from
-each final-layer node through contiguous predecessor runs, so the work is
-proportional to the output.
+of occurrences that chain together into a match.  ``gapgraph.expand``
+walks from final-layer nodes through contiguous predecessor runs, so the
+work is proportional to the output.
 
 Two drivers are provided.  ``report_chunked`` rebuilds the graph over
 overlapping text windows and keeps memory bounded by the window size
