@@ -15,7 +15,8 @@ line; plain input is the whole file minus one trailing newline.
 
 Exit status 0 on success (matching nothing is success), 2 on usage errors:
 unparseable pattern, unreadable input, unbounded gaps passed to a
-combination or graph command, bad chunk length.  Where the platform has
+combination or graph command, a chunk length too small or given without
+``--engine chunked``.  Where the platform has
 SIGPIPE, a closed stdout pipe ends the process silently by that signal.
 """
 
@@ -32,10 +33,10 @@ from functools import partial
 from itertools import chain
 from typing import BinaryIO, Iterable, Iterator
 
-from .gapgraph import GraphBuilder, build_implicit_gap_graph
+from .gapgraph import GraphBuilder, Run, build_implicit_gap_graph
 from .matcher import MatcherState, find_endpoints
 from .pattern import parse_pattern
-from .reporter import Sink, count_combinations, report_chunked, report_on_the_fly
+from .reporter import RunSink, chunked_runs, count_combinations, on_the_fly_runs
 
 
 @dataclass
@@ -148,10 +149,16 @@ def _write_ends(args, fasta: bool, ident: str, ends: Iterable[int]) -> None:
         write(f"{head}{end}{close}")
 
 
-def _combo_writer(args, fasta: bool, ident: str) -> Sink:
+def _run_writer(args, fasta: bool, ident: str) -> RunSink:
+    """Writes each run of combinations with one join and one write."""
     head, sep, close = _line_format(args, fasta, ident, "ends")
     write = sys.stdout.write
-    return lambda combo: write(head + sep.join(map(str, combo)) + close)
+
+    def write_runs(runs: Iterable[Run]) -> None:
+        for suffix, firsts in runs:
+            tail = sep.join(["", *map(str, suffix)]) + close
+            write(head + (tail + head).join(map(str, firsts)) + tail)
+    return write_runs
 
 
 def _match(args, pattern, docs, fasta) -> None:
@@ -170,33 +177,31 @@ def _oracle_match(args, pattern, docs, fasta) -> None:
 
 
 def _combos(args, pattern, docs, fasta) -> None:
+    if args.chunk_len is not None and args.engine != "chunked":
+        raise ValueError("--chunk-len applies only to --engine chunked")
     plan = None
     if args.engine is None:
         from . import bitvec  # compiled only by the commands that may run it
         if bitvec.suits(pattern):
             plan = pattern.bitplan
     if args.engine == "chunked":
-        report = partial(report_chunked, pattern, chunk_len=args.chunk_len)
+        report = partial(chunked_runs, pattern, chunk_len=args.chunk_len)
     else:
-        report = partial(report_on_the_fly, pattern)
-    write = sys.stdout.write
+        report = partial(on_the_fly_runs, pattern)
     for doc in docs:
+        write = _run_writer(args, fasta, doc.ident)
         if plan is None:
-            report(doc.sequence, _combo_writer(args, fasta, doc.ident))
-            continue
-        # each run of combinations with one join and one write
-        head, sep, close = _line_format(args, fasta, doc.ident, "ends")
-        for suffix, firsts in plan.runs(doc.sequence):
-            tail = sep.join(["", *map(str, suffix)]) + close
-            write(head + (tail + head).join(map(str, firsts)) + tail)
+            report(doc.sequence, write)
+        else:
+            write(plan.runs(doc.sequence))
 
 
 def _oracle_combos(args, pattern, docs, fasta) -> None:
     from . import oracle  # compiled only when asked for, to keep start-up short
     for doc in docs:
-        sink = _combo_writer(args, fasta, doc.ident)
-        for combo in sorted(oracle.brute_force_combinations(pattern, doc.sequence)):
-            sink(combo)
+        combos = sorted(oracle.brute_force_combinations(pattern, doc.sequence))
+        _run_writer(args, fasta, doc.ident)(
+            (combo[1:], [combo[0]]) for combo in combos)
 
 
 def _graph(args, pattern, docs, fasta) -> None:

@@ -5,24 +5,33 @@ of occurrences that chain together into a match.  ``gapgraph.expand``
 walks from final-layer nodes through contiguous predecessor runs, so the
 work is proportional to the output.
 
-Two drivers are provided.  ``report_chunked`` rebuilds the graph over
+Two drivers are provided, each a wrapper with a sink per combination
+over a core that hands ``expand``'s runs ``(suffix, firsts)`` to a run
+sink.  ``report_chunked`` (core ``chunked_runs``) rebuilds the graph over
 overlapping text windows and keeps memory bounded by the window size
-regardless of text length; ``report_on_the_fly`` streams the text once and
-emits every combination the moment its final occurrence appears, pruning
-nodes that can no longer contribute.  Both require bounded gaps.
+regardless of text length.  A window claims the combinations whose match
+starts in its claim range; ``firsts`` ascend, so they form one slice of
+each run, found by bisection.  Output comes by claiming window, then as on
+the fly.  ``report_on_the_fly`` (core ``on_the_fly_runs``) streams the text
+once and emits every combination the moment its final occurrence appears,
+pruning nodes that can no longer contribute.  Both require bounded gaps.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .gapgraph import GraphBuilder, GraphCounters, Run, build_implicit_gap_graph, expand
 from .pattern import VlgPattern, ensure_bytes
 
 Combination = tuple[int, ...]
 Sink = Callable[[Combination], None]
+# takes the runs of one window or one match, and must consume them all
+RunSink = Callable[[Iterable[Run]], object]
 
 
 def _flatten(runs: Iterable[Run], sink: Sink) -> int:
@@ -95,9 +104,9 @@ class ChunkCounters:
     emitted: int = 0
 
 
-def report_chunked(pattern: VlgPattern, text: bytes | str, sink: Sink, *,
-                   chunk_len: int | None = None) -> ChunkCounters:
-    """Emit all combinations window by window, each exactly once.
+def chunked_runs(pattern: VlgPattern, text: bytes | str, sink: RunSink, *,
+                 chunk_len: int | None = None) -> ChunkCounters:
+    """Hand ``sink`` each window's claimed runs, in text positions.
 
     A window claims a combination iff the match start falls inside the
     window's leading stride positions (the final window claims through the
@@ -110,8 +119,7 @@ def report_chunked(pattern: VlgPattern, text: bytes | str, sink: Sink, *,
     if span is None:
         raise ValueError("combination reporting requires bounded gaps")
     counters = ChunkCounters()
-    text_len = len(data)
-    plan = plan_chunks(span, text_len, chunk_len)
+    plan = plan_chunks(span, len(data), chunk_len)
     head_len = len(pattern.subpatterns[0])
     for index in range(plan.count):
         offset = index * plan.stride
@@ -121,22 +129,34 @@ def report_chunked(pattern: VlgPattern, text: bytes | str, sink: Sink, *,
         counters.peak_graphs = min(counters.chunks, 2)
         if not graph.layer(pattern.num_subpatterns):
             continue  # most windows of sparse text hold no match
-        claim_lo = offset + 1
-        claim_hi = text_len if index == plan.count - 1 else offset + plan.stride
-
-        def claim(local: Combination, _offset: int = offset) -> None:
-            start = local[0] + _offset - head_len + 1
-            if claim_lo <= start <= claim_hi:
-                sink(tuple(end + _offset for end in local))
-                counters.emitted += 1
-
-        expand_combinations(graph, claim)
+        # all of a window's matches start inside it: only the claim's end cuts
+        limit = plan.length if index == plan.count - 1 else plan.stride + head_len - 1
+        sink(_claimed(expand(graph._layers, graph._base), limit, offset, counters))
     return counters
 
 
-def report_on_the_fly(pattern: VlgPattern, text: bytes | str,
-                      sink: Sink) -> GraphCounters:
-    """Stream once; emit each combination as its final occurrence arrives.
+def _claimed(runs: Iterable[Run], limit: int, offset: int,
+             counters: ChunkCounters) -> Iterator[Run]:
+    """Each run's part with first ends up to ``limit``, shifted by ``offset``."""
+    for suffix, firsts in runs:
+        if firsts[0] > limit:
+            continue
+        if firsts[-1] > limit:
+            firsts = firsts[:bisect_right(firsts, limit)]
+        counters.emitted += len(firsts)
+        yield tuple([end + offset for end in suffix]), [end + offset for end in firsts]
+
+
+def report_chunked(pattern: VlgPattern, text: bytes | str, sink: Sink, *,
+                   chunk_len: int | None = None) -> ChunkCounters:
+    """``chunked_runs``, one combination at a time."""
+    return chunked_runs(pattern, text, partial(_flatten, sink=sink),
+                        chunk_len=chunk_len)
+
+
+def on_the_fly_runs(pattern: VlgPattern, text: bytes | str,
+                    sink: RunSink) -> GraphCounters:
+    """Stream once; hand ``sink`` each match's runs as its last end arrives.
 
     Combinations arrive in nondecreasing order of their last end position.
     Returns the graph builder's counters, whose peak_live_nodes field
@@ -147,11 +167,17 @@ def report_on_the_fly(pattern: VlgPattern, text: bytes | str,
     def on_match(node: tuple[int, int | None, int | None]) -> None:
         end, first, last = node
         if first is None:
-            sink((end,))
+            sink((((), [end]),))
         else:
-            _flatten(expand(layers, base, (below, first, last, (end,))), sink)
+            sink(expand(layers, base, (below, first, last, (end,))))
 
     builder = GraphBuilder(pattern, prune=True, on_match=on_match)
     layers, base = builder._layers, builder._base
     pattern.automaton.stream(text, builder.feed)
     return builder.counters
+
+
+def report_on_the_fly(pattern: VlgPattern, text: bytes | str,
+                      sink: Sink) -> GraphCounters:
+    """``on_the_fly_runs``, one combination at a time."""
+    return on_the_fly_runs(pattern, text, partial(_flatten, sink=sink))

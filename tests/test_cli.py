@@ -20,9 +20,10 @@ from vlgmatch.automaton import Automaton
 from vlgmatch.bitvec import BitPlan
 from vlgmatch import bitvec, cli
 from vlgmatch.cli import InputDocument, ingest_fasta, run
-from vlgmatch.oracle import brute_force_endpoints, occurrences_by_layer
+from vlgmatch.oracle import (brute_force_combinations, brute_force_endpoints,
+                             occurrences_by_layer)
 from vlgmatch.pattern import parse_pattern
-from vlgmatch.reporter import report_on_the_fly
+from vlgmatch.reporter import report_chunked, report_on_the_fly
 
 EXAMPLE = helpers.EXAMPLE_TEXT.decode()
 
@@ -272,6 +273,16 @@ def test_chunk_len_too_small_exits_2(capsys, example_file):
         "--engine", "chunked", "--chunk-len", "3"])
     assert code == 2
     assert "shorter than the match span bound" in err
+
+
+@pytest.mark.parametrize("engine", [[], ["--engine", "onthefly"]],
+                         ids=["default", "onthefly"])
+def test_chunk_len_without_the_chunked_engine_exits_2(capsys, example_file, engine):
+    code, out, err = _run(capsys, [
+        "combos", "-p", helpers.COMBO_PATTERN, "-t", example_file, *engine,
+        "--chunk-len", "1"])
+    assert (code, out) == (2, "")
+    assert err == "vlgmatch: --chunk-len applies only to --engine chunked\n"
 
 
 def test_usage_errors_exit_2(capsys):
@@ -533,6 +544,51 @@ def test_engine_choice_at_the_carry_limit(capsys, built, tmp_path, expr, bits):
         assert out.splitlines(keepends=True) == lines, command
         assert (len(built[BitPlan]), len(built[Automaton])) == (
             (1, 0) if bits else (0, 1)), command
+
+
+LIBRARY_COMBOS = {
+    "onthefly": lambda pattern, text: _collect(report_on_the_fly, pattern, text),
+    "chunked": lambda pattern, text: _collect(report_chunked, pattern, text),
+    "oracle": lambda pattern, text: sorted(brute_force_combinations(pattern, text)),
+}
+
+
+def _collect(report, pattern, text):
+    out: list[tuple[int, ...]] = []
+    report(pattern, text, out.append)
+    return out
+
+
+@pytest.mark.parametrize("fasta", [False, True], ids=["plain", "fasta"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("engine", list(LIBRARY_COMBOS))
+def test_combos_lines_are_the_library_combinations(capsys, tmp_path, engine,
+                                                   fmt, fasta):
+    """The run writer prints each engine's tuples, in order, in every format."""
+    rng = random.Random(5)
+    records = {"r1": bytes(rng.choices(b"ACGT", k=700)),
+               "r2": bytes(rng.choices(b"ACGT", k=500))}
+    if not fasta:
+        records = {"": records["r1"]}
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"".join((f">{ident} x\n".encode() if fasta else b"") + seq + b"\n"
+                              for ident, seq in records.items()))
+    expr = "A.{0,4}G.{0,6}T"
+    argv = ["oracle", "combos"] if engine == "oracle" else ["combos", "--engine", engine]
+    code, out, err = _run(capsys, [*argv, "-p", expr, "-t", str(path), "--format", fmt])
+    assert (code, err) == (0, "")
+    expected = []
+    for ident, seq in records.items():
+        combos = LIBRARY_COMBOS[engine](parse_pattern(expr), seq)
+        assert len(combos) > len(set(c[1:] for c in combos)) > 1
+        record = {"record": ident} if fasta else {}
+        prefix = f"{ident}:" if fasta else ""
+        for combo in combos:
+            if fmt == "json":
+                expected.append(json.dumps(record | {"ends": list(combo)}) + "\n")
+            else:
+                expected.append(prefix + ",".join(map(str, combo)) + "\n")
+    assert out == "".join(expected)
 
 
 def test_ingest_fasta_basics():

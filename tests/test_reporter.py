@@ -194,6 +194,52 @@ def test_chunk_length_sweep_reports_each_combination_once():
         assert len(combos) == len(set(combos))
 
 
+def _claim_filter(pattern, text, chunk_len):
+    """Reference chunked output: every window's ``expand_combinations``,
+    kept one tuple at a time when its match starts in the window's claim."""
+    plan = plan_chunks(pattern.max_match_span, len(text), chunk_len)
+    head_len = len(pattern.subpatterns[0])
+    out = []
+    for index in range(plan.count):
+        offset = index * plan.stride
+        claim_hi = len(text) if index == plan.count - 1 else offset + plan.stride
+        local: list[tuple[int, ...]] = []
+        graph = build_implicit_gap_graph(pattern, text[offset:offset + plan.length])
+        expand_combinations(graph, local.append)
+        out += [tuple(end + offset for end in combo) for combo in local
+                if offset < combo[0] + offset - head_len + 1 <= claim_hi]
+    return out
+
+
+def _random_dna(seed, size):
+    return bytes(random.Random(seed).choices(b"ACGT", k=size))
+
+
+@pytest.mark.parametrize("expr, text", [
+    ("ACG.{0,9}TG.{0,5}G", _random_dna(1, 3000) + b"ACGTGG"),
+    ("A.{0,3}A.{0,3}A", b"A" * 301),
+    ("GT", _random_dna(2, 500) + b"GT"),
+    ("A.{0,200}C", _random_dna(3, 5000) + b"AC"),
+], ids=["dna-head3", "periodic", "one-piece", "wide-gap"])
+def test_chunked_order_equals_the_per_tuple_claim_filter(expr, text):
+    """Run slices claim exactly the tuple filter's output, in its order; each
+    text ends in a match that only the last window's claim to the end holds."""
+    pattern = parse_pattern(expr)
+    span = pattern.max_match_span
+    head_len = len(pattern.subpatterns[0])
+    past_stride = []
+    for chunk_len in (span, span + 1, 2 * span, None):
+        expected = _claim_filter(pattern, text, chunk_len)
+        got: list[tuple[int, ...]] = []
+        counters = report_chunked(pattern, text, got.append, chunk_len=chunk_len)
+        assert got == expected, chunk_len
+        assert counters.emitted == len(expected) > 0
+        plan = plan_chunks(span, len(text), chunk_len)
+        last_stride_end = plan.count * plan.stride
+        past_stride.append(max(c[0] - head_len + 1 for c in got) > last_stride_end)
+    assert any(past_stride)
+
+
 def test_many_combinations_per_match():
     """All-identical text: few distinct end positions, many combinations."""
     pattern = parse_pattern("A.{0,6}A.{0,6}A")
