@@ -34,7 +34,7 @@ Sink = Callable[[Combination], None]
 RunSink = Callable[[Iterable[Run]], object]
 
 
-def _flatten(runs: Iterable[Run], sink: Sink) -> int:
+def _flatten(sink: Sink, runs: Iterable[Run]) -> int:
     """Hand each combination of ``runs`` to ``sink``; returns the count."""
     emitted = 0
     for suffix, firsts in runs:
@@ -48,7 +48,7 @@ def _flatten(runs: Iterable[Run], sink: Sink) -> int:
 
 def expand_combinations(graph: GraphBuilder, sink: Sink) -> int:
     """Emit every combination encoded in ``graph``; returns the count."""
-    return _flatten(expand(graph._layers, graph._base), sink)
+    return _flatten(sink, expand(graph._layers, graph._base))
 
 
 def count_combinations(graph: GraphBuilder) -> int:
@@ -150,8 +150,7 @@ def _claimed(runs: Iterable[Run], limit: int, offset: int,
 def report_chunked(pattern: VlgPattern, text: bytes | str, sink: Sink, *,
                    chunk_len: int | None = None) -> ChunkCounters:
     """``chunked_runs``, one combination at a time."""
-    return chunked_runs(pattern, text, partial(_flatten, sink=sink),
-                        chunk_len=chunk_len)
+    return chunked_runs(pattern, text, partial(_flatten, sink), chunk_len=chunk_len)
 
 
 def on_the_fly_runs(pattern: VlgPattern, text: bytes | str,
@@ -180,4 +179,4 @@ def on_the_fly_runs(pattern: VlgPattern, text: bytes | str,
 def report_on_the_fly(pattern: VlgPattern, text: bytes | str,
                       sink: Sink) -> GraphCounters:
     """``on_the_fly_runs``, one combination at a time."""
-    return on_the_fly_runs(pattern, text, partial(_flatten, sink=sink))
+    return on_the_fly_runs(pattern, text, partial(_flatten, sink))
