@@ -20,15 +20,27 @@ enough to reach every predecessor of an occurrence in it.
 ``BitPlan.runs`` then passes backward from the block's match ends,
 keeping only occurrences on some match ending in the block, links each
 to its predecessor run once and expands them with ``gapgraph.expand``.
+
+``BitPlan.count`` reads what ``stats`` reports off the same blocks.  A
+layer's occurrences are the set bits of its piece's AND chain before the
+relevance AND, the matches are the last layer's bits, and β is the path
+count (``gapgraph.count_paths``) of the block graphs ``runs`` expands.
+``peak_ranges`` needs no matcher either.  After a gap ``.{a,b}`` before
+a piece of length p, the matcher's list holds one range per cluster of
+relevant ends at most w = b - a + 1 apart, until h = b + p positions past
+the cluster's last end.  So when a relevant end e appends, the list holds
+1 + the cluster ends (relevant ends with none in the w positions after
+them) in [e - h, e), and it never holds more than 1 + h // (w + 1).  An
+unbounded gap's list holds one open range from its first relevant end.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import compress
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .gapgraph import Run, expand
+from .gapgraph import Run, count_paths, expand
 from .pattern import VlgPattern, ensure_bytes
 
 # The CLI runs this engine for patterns with at most MAX_SIGMA distinct
@@ -46,6 +58,15 @@ MIN_BLOCK = 1024
 
 # "0"/"1" digits to false/true selectors for itertools.compress
 _SELECT = bytes.maketrans(b"01", b"\0\1")
+
+
+class Counts(NamedTuple):
+    """One text's ``stats`` counts; lists are per layer, ``peak_ranges`` per gap."""
+
+    layer_occurrences: list[int]
+    matches: int
+    beta: int | None
+    peak_ranges: list[int]
 
 
 def suits(pattern: VlgPattern) -> bool:
@@ -111,12 +132,14 @@ class BitPlan:
         span = pattern.max_match_span
         self._combos_keep = None if span is None else span - 1
 
-    def _forward(self, data: bytes, keep: int) -> Iterator[tuple[int, int, list[int]]]:
+    def _forward(self, data: bytes, keep: int, occurrences: list[int] | None = None
+                 ) -> Iterator[tuple[int, int, list[int]]]:
         """Per block: its end (0-based, exclusive), its length, each layer's bits.
 
         Bit 0 is the block's last position.  A layer's bits cover the
         block and up to ``keep`` positions before it; the last layer's
-        cover the block only.
+        cover the block only.  ``occurrences``, if given, gains each
+        layer's occurrences in the block, relevant or not.
         """
         tables, pieces, gaps, lead = self._tables, self._pieces, self._gaps, self._lead
         size = max(MIN_BLOCK, keep, lead + 1)
@@ -133,9 +156,12 @@ class BitPlan:
             reach = block
             layers = []
             for i, piece in enumerate(pieces):
-                bits = reach & block
+                bits = block
                 for char, distance in piece:
                     bits &= masks[char] >> distance
+                if occurrences is not None:
+                    occurrences[i] += bits.bit_count()
+                bits &= reach
                 if i == last:
                     layers.append(bits)
                     break
@@ -167,27 +193,75 @@ class BitPlan:
         keep = self._combos_keep
         if keep is None:
             raise ValueError("combination reporting requires bounded gaps")
-        gaps = self._gaps
+        base = [0] * (len(self._pieces) + 1)
         for stop, length, layers in self._forward(ensure_bytes(text), keep):
+            if layers[-1]:
+                yield from expand(self._graph(stop, length, layers, keep), base)
+
+    def count(self, text: bytes | str) -> Counts:
+        """``stats``' counts, equal to those of ``MatcherState`` and
+        ``count_combinations``; ``beta`` is None with an unbounded gap."""
+        keep = self._combos_keep
+        occurrences = [0] * len(self._pieces)
+        matches = beta = 0
+        base = [0] * (len(self._pieces) + 1)
+        # per gap: how far past its cluster's last end a range lives, how
+        # far apart ends join one range, and ``matcher.max_live_ranges``
+        ranges = [(None, None, 1) if width is None else
+                  (shift + width - 1, width, 1 + (shift + width - 1) // (width + 1))
+                  for shift, width in self._gaps]
+        peaks = [0] * len(ranges)
+        for stop, length, layers in self._forward(
+                ensure_bytes(text), self._match_keep if keep is None else keep,
+                occurrences):
             found = layers[-1]
-            if not found:
-                continue
-            window = length + min(keep, stop - length)
-            ends = [list(_positions(found, stop))]
-            for i in range(len(gaps) - 1, -1, -1):
-                shift, width = gaps[i]
-                # an end's predecessors lie shift to shift + width - 1 positions earlier
-                width = min(width, window)
-                found = layers[i] & _smear_later(found << (shift + width - 1), width)
-                ends.append(list(_positions(found, stop)))
-            # the graph format of ``gapgraph``, every index absolute with base 0
-            ends.reverse()
-            graph = [((), (), ()), (ends[0], (), ())]
-            for (shift, width), preds, here in zip(gaps, ends, ends[1:]):
-                firsts, lasts = [], []  # a loop: most blocks hold a node or two
-                for end in here:
-                    at = bisect_left(preds, end - shift - width + 1)
-                    firsts.append(at)
-                    lasts.append(bisect_right(preds, end - shift, at) - 1)
-                graph.append((here, firsts, lasts))
-            yield from expand(graph, [0] * len(graph))
+            if found:
+                matches += found.bit_count()
+                if keep is not None:
+                    beta += count_paths(self._graph(stop, length, layers, keep), base)
+            block = (1 << length) - 1
+            for i, (reach, width, most) in enumerate(ranges):
+                ends = layers[i]
+                if peaks[i] == most or not ends & block:
+                    continue
+                peaks[i] = max(peaks[i], 1)
+                if width is None:  # one open range absorbs every later one
+                    continue
+                # ends with none in the width after them close their range
+                # (a wider smear sets no bit of ``ends`` more); the ends
+                # whose append finds a closed range still held
+                width = min(width, ends.bit_length())
+                closing = ends & ~_smear_later(ends << width, width)
+                late = ends & block & _smear_later(closing >> 1, reach)
+                if late:
+                    closed = list(_positions(closing, stop))
+                    for end in _positions(late, stop):
+                        held = bisect_left(closed, end) - bisect_left(closed, end - reach)
+                        peaks[i] = max(peaks[i], 1 + held)
+        return Counts(occurrences, matches, None if keep is None else beta, peaks)
+
+    def _graph(self, stop: int, length: int, layers: list[int],
+               keep: int) -> list[tuple[list[int], list[int], list[int]]]:
+        """The block's graph in ``gapgraph``'s format, every index absolute
+        with base 0: the occurrences on some match ending in the block,
+        each linked to its predecessor run once."""
+        gaps = self._gaps
+        found = layers[-1]
+        window = length + min(keep, stop - length)
+        ends = [list(_positions(found, stop))]
+        for i in range(len(gaps) - 1, -1, -1):
+            shift, width = gaps[i]
+            # an end's predecessors lie shift to shift + width - 1 positions earlier
+            width = min(width, window)
+            found = layers[i] & _smear_later(found << (shift + width - 1), width)
+            ends.append(list(_positions(found, stop)))
+        ends.reverse()
+        graph = [((), (), ()), (ends[0], (), ())]
+        for (shift, width), preds, here in zip(gaps, ends, ends[1:]):
+            firsts, lasts = [], []  # a loop: most blocks hold a node or two
+            for end in here:
+                at = bisect_left(preds, end - shift - width + 1)
+                firsts.append(at)
+                lasts.append(bisect_right(preds, end - shift, at) - 1)
+            graph.append((here, firsts, lasts))
+        return graph

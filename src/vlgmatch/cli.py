@@ -3,10 +3,10 @@
 Subcommands: match (end positions), combos (full combinations), graph
 (predecessor graph dump), stats (size and occurrence counters), and
 oracle match / oracle combos (brute-force reference, same output shapes).
-match and combos run the bit-parallel engine (``bitvec``) when the pattern
-has few distinct bytes, few literal bytes and narrow gaps, and the paper's
-streaming engine otherwise; ``combos --engine`` forces one of the paper's engines.
-Both give the same lines in the same order.
+match, combos and stats run the bit-parallel engine (``bitvec``) when the
+pattern has few distinct bytes, few literal bytes and narrow gaps, and the
+paper's streaming engine otherwise; ``combos --engine`` forces one of the
+paper's engines.  Both give the same lines in the same order.
 
 Input is a file path or "-" for stdin.  FASTA input (enabled by --fasta or
 auto-detected from a leading ">") is searched record by record with
@@ -231,31 +231,40 @@ def _ignore(_end: int) -> None:
     pass
 
 
+def _streamed_counts(pattern, text: bytes):
+    """``BitPlan.count``'s counts from the paper's streaming engine."""
+    from .bitvec import Counts
+    state = MatcherState(pattern)
+    process = state.process_event
+    builder = GraphBuilder(pattern) if pattern.bounded else None
+
+    def on_event(event) -> None:
+        process(event, _ignore)
+        if builder is not None:
+            builder.feed(event)
+
+    pattern.automaton.stream(text, on_event)
+    counters = state.counters
+    return Counts(counters.layer_occurrences, counters.reported,
+                  None if builder is None else count_combinations(builder.finish()),
+                  counters.peak_ranges)
+
+
 def _stats(args, pattern, docs, fasta) -> None:
+    from . import bitvec  # compiled only by the commands that may run it
+    count = (pattern.bitplan.count if bitvec.suits(pattern)
+             else partial(_streamed_counts, pattern))
     write = sys.stdout.write
     for doc in docs:
-        state = MatcherState(pattern)
-        process = state.process_event
-        builder = GraphBuilder(pattern) if pattern.bounded else None
-
-        def on_event(event) -> None:
-            process(event, _ignore)
-            if builder is not None:
-                builder.feed(event)
-
-        pattern.automaton.stream(doc.sequence, on_event)
-        counters = state.counters
+        counts = count(doc.sequence)
         values = {
             "n": len(doc.sequence),
             "m": pattern.literal_length,
             "k": pattern.num_subpatterns,
             "A": pattern.min_gap_sum,
             "B": pattern.max_gap_sum,
-            "alpha": counters.occurrences,
-            "layer_occurrences": counters.layer_occurrences,
-            "matches": counters.reported,
-            "beta": None if builder is None else count_combinations(builder.finish()),
-            "peak_ranges": counters.peak_ranges,
+            "alpha": sum(counts.layer_occurrences),
+            **counts._asdict(),
         }
         if args.format == "json":
             if fasta:

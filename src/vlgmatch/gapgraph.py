@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Iterator
 
 from .automaton import OccEvent
@@ -65,6 +66,22 @@ def expand(layers: list[tuple[list[int], list[int], list[int]]], base: list[int]
             continue
         for j in range(hi - at, lo - at - 1, -1):
             push((layer - 1, first[j], last[j], (here[j],) + suffix))
+
+
+def count_paths(layers: list[tuple[list[int], list[int], list[int]]],
+                base: list[int]) -> int:
+    """Number of combinations ``expand`` would give, without enumerating.
+
+    Path counting with prefix sums; exact (Python integers do not
+    overflow), linear in the number of nodes.
+    """
+    counts = [1] * len(layers[1][0])
+    # each later layer's links index into the layer before, from its base
+    for at, (_, firsts, lasts) in zip(base[1:], layers[2:]):
+        prefix = [0, *accumulate(counts)]
+        counts = [prefix[last - at + 1] - prefix[first - at]
+                  for first, last in zip(firsts, lasts)]
+    return sum(counts)
 
 
 def tail_span_bounds(pattern: VlgPattern) -> tuple[int, ...]:

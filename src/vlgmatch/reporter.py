@@ -22,10 +22,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .gapgraph import GraphBuilder, GraphCounters, Run, build_implicit_gap_graph, expand
+from .gapgraph import (GraphBuilder, GraphCounters, Run, build_implicit_gap_graph,
+                       count_paths, expand)
 from .pattern import VlgPattern, ensure_bytes
 
 Combination = tuple[int, ...]
@@ -52,18 +52,8 @@ def expand_combinations(graph: GraphBuilder, sink: Sink) -> int:
 
 
 def count_combinations(graph: GraphBuilder) -> int:
-    """Number of combinations in a finished graph, without enumerating.
-
-    Path counting with prefix sums; exact (Python integers do not
-    overflow), linear in the number of nodes.
-    """
-    counts = [1] * len(graph.layer(1))
-    # each later layer's links index into the layer before, from its base
-    for at, (_, firsts, lasts) in zip(graph._base[1:], graph._layers[2:]):
-        prefix = [0, *accumulate(counts)]
-        counts = [prefix[last - at + 1] - prefix[first - at]
-                  for first, last in zip(firsts, lasts)]
-    return sum(counts)
+    """Number of combinations in a finished graph, without enumerating."""
+    return count_paths(graph._layers, graph._base)
 
 
 class ChunkPlan(NamedTuple):

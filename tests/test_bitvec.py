@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from vlgmatch.bitvec import MAX_LITERAL, MIN_BLOCK, BitPlan
-from vlgmatch.gapgraph import build_implicit_gap_graph
+from vlgmatch.gapgraph import GraphBuilder, build_implicit_gap_graph
+from vlgmatch.matcher import MatcherState
 from vlgmatch.oracle import (brute_force_combinations, brute_force_endpoints,
                              combination_count)
 from vlgmatch.pattern import GapBounds, VlgPattern
@@ -108,6 +109,52 @@ def test_runs_equal_report_on_the_fly_in_order(seed):
     assert _bits(pattern, text) == _streamed(pattern, text)
 
 
+def _assert_counts_equal_streaming(pattern: VlgPattern, text: bytes) -> None:
+    """``BitPlan.count`` against ``MatcherState``, ``GraphBuilder`` and
+    ``count_combinations`` on one text, field by field."""
+    state = MatcherState(pattern)
+    graph = GraphBuilder(pattern) if pattern.bounded else None
+
+    def feed(event) -> None:
+        state.process_event(event, lambda end: None)
+        if graph is not None:
+            graph.feed(event)
+
+    pattern.automaton.stream(text, feed)
+    got = pattern.bitplan.count(text)
+    want = state.counters
+    assert got.layer_occurrences == want.layer_occurrences
+    assert sum(got.layer_occurrences) == want.occurrences
+    assert got.matches == want.reported
+    assert got.beta == (None if graph is None else count_combinations(graph))
+    assert got.peak_ranges == want.peak_ranges
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_count_equals_the_streaming_engine(seed):
+    _assert_counts_equal_streaming(*_instance(seed))
+
+
+def test_count_on_chosen_cases():
+    """One piece, unbounded gaps, an empty text, texts of several blocks
+    and pieces that are suffixes of one another, on dense and periodic text."""
+    rng = random.Random(5)
+    dense = bytes(rng.choices(b"AC", k=3 * MIN_BLOCK + 77))
+    periodic = b"CACACAACA" * 400
+    cases = [
+        (["ACA"], []), (["A"], []), (["CA", "ACA", "A"], [(0, 2), (0, 0)]),
+        (["A", "CA", "ACA"], [(0, 3), (1, 4)]), (["A", "A", "A"], [(0, 3), (0, 3)]),
+        (["AC", "CA"], [(2, None)]), (["A", "C", "A"], [(1, 3), (0, None)]),
+        (["CA", "A", "C"], [(0, None), (4, 9)]), (["A", "C"], [(0, 0)]),
+        (["A", "C"], [(3, 40)]), (["AA", "C", "A"], [(0, 30), (5, 6)]),
+    ]
+    for pieces, gaps in cases:
+        pattern = helpers.make_pattern(pieces, gaps)
+        for text in (b"", b"A", dense, periodic, dense[:MIN_BLOCK + 1]):
+            _assert_counts_equal_streaming(pattern, text)
+
+
 def test_matches_straddle_every_block_boundary():
     pattern = helpers.make_pattern(["GATT", "CA", "TTG"], [(3, 9), (0, 4)])
     rng = random.Random(7)
@@ -144,9 +191,11 @@ def test_gap_bounds_near_a_billion_build_no_huge_ints():
         tracemalloc.start()
         ends = list(plan.ends(text))
         combos = _bits(pattern, text) if pattern.bounded else []
+        counts = plan.count(text)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert ends == brute_force_endpoints(pattern, text)
+        assert counts.matches == len(ends)
         if pattern.bounded:
             assert combos == _streamed(pattern, text)
         assert peak < 4_000_000, gaps

@@ -428,7 +428,7 @@ def test_one_automaton_per_command(capsys, built, monkeypatch, tmp_path, argv):
     code, out, err = _run(capsys, [
         *argv, "-p", helpers.EXAMPLE_PATTERN, "-t", str(path)])
     assert (code, err, bool(out)) == (0, "", True)
-    if argv in (["match"], ["combos"]):  # the bit engine's choice
+    if argv in (["match"], ["combos"], ["stats"]):  # the bit engine's choice
         assert (len(built[Automaton]), len(built[BitPlan])) == (0, 1)
         assert len(suited) == 1  # chosen once per command, not per record
     else:
@@ -641,7 +641,7 @@ def test_module_entry_point_exit_status_on_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize("argv, loaded", [
-    (["match"], True), (["stats"], False), (["graph"], False),
+    (["match"], True), (["stats"], True), (["graph"], False),
     (["combos", "--engine", "chunked"], False)])
 def test_bitvec_imported_only_where_it_runs(tmp_path, argv, loaded):
     path = tmp_path / "t.txt"
