@@ -227,9 +227,9 @@ class BitPlan:
                 peaks[i] = max(peaks[i], 1)
                 if width is None:  # one open range absorbs every later one
                     continue
-                # ends with none in the width after them close their range
-                # (a wider smear sets no bit of ``ends`` more); the ends
-                # whose append finds a closed range still held
+                # an end with no end in the width after it closes its range
+                # (a smear past the bits held reaches no end); ``late`` are
+                # the ends whose append finds a closed range still held
                 width = min(width, ends.bit_length())
                 closing = ends & ~_smear_later(ends << width, width)
                 late = ends & block & _smear_later(closing >> 1, reach)
