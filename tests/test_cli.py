@@ -505,12 +505,15 @@ def test_engine_choice_at_the_limits(capsys, built, tmp_path, literal, bits):
     text = b"GA" + literal + b"TTC" + literal[:-1] + b"!" + literal
     path = tmp_path / "t.txt"
     path.write_bytes(text)
-    for command in ("match", "combos"):
+    for command in ("match", "combos", "stats"):
         built[Automaton].clear()
         code, out, err = _run(capsys, [
             command, "-p", literal.decode(), "-t", str(path)])
         assert (code, err) == (0, "")
-        assert out.split() == [str(2 + len(literal)), str(len(text))]
+        if command == "stats":
+            assert {"alpha 2", "matches 2", "beta 2"} <= set(out.splitlines())
+        else:
+            assert out.split() == [str(2 + len(literal)), str(len(text))]
         assert len(built[Automaton]) == (0 if bits else 1), command
 
 
@@ -536,12 +539,16 @@ def test_engine_choice_at_the_carry_limit(capsys, built, tmp_path, expr, bits):
         report_on_the_fly(pattern, text, combos.append)
         expected["combos"] = [",".join(map(str, combo)) + "\n" for combo in combos]
     assert expected["match"]
+    expected["stats"] = f"matches {len(expected['match'])}\n"
     for command, lines in expected.items():
         built[Automaton].clear()
         built[BitPlan].clear()
         code, out, err = _run(capsys, [command, "-p", expr, "-t", str(path)])
         assert (code, err) == (0, "")
-        assert out.splitlines(keepends=True) == lines, command
+        if command == "stats":
+            assert lines in out.splitlines(keepends=True)
+        else:
+            assert out.splitlines(keepends=True) == lines, command
         assert (len(built[BitPlan]), len(built[Automaton])) == (
             (1, 0) if bits else (0, 1)), command
 
