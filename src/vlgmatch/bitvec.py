@@ -13,8 +13,9 @@ occurrence ends.  A gap ``.{a,b}`` before a piece of length p shifts the
 previous layer's bits a + p positions later and smears them over
 b - a + 1 positions by doubling.  An unbounded gap admits every position
 from the previous layer's earliest relevant end plus a + p on.  The last
-``keep`` bits of every layer but the last carry into the next block,
-enough to reach every predecessor of an occurrence in it.
+H bits of every layer but the last carry into the next block, H the
+match span less one (with an unbounded gap, the widest bounded gap plus
+the piece after it), enough to reach every occurrence on a match in it.
 
 ``BitPlan.ends`` reads the match ends off the last layer.
 ``BitPlan.runs`` then passes backward from the block's match ends,
@@ -77,17 +78,12 @@ def suits(pattern: VlgPattern) -> bool:
 
 
 def _carry(pattern: VlgPattern) -> int:
-    """The most bits a layer carries between blocks, in ``ends`` or ``runs``.
-
-    ``runs`` carries a match's span less one, which is never less than
-    what ``ends`` carries.
-    """
+    """The bits a layer carries between blocks: a match's span less one, so
+    ``runs`` reaches every occurrence on a match ending in the block; with
+    an unbounded gap, the widest bounded gap plus the piece after it."""
     span = pattern.max_match_span
-    return _match_carry(pattern) if span is None else span - 1
-
-
-def _match_carry(pattern: VlgPattern) -> int:
-    """Bits ``ends`` carries: the widest bounded gap plus the piece after it."""
+    if span is not None:
+        return span - 1
     return max((gap.upper + len(after)
                 for gap, after in zip(pattern.gaps, pattern.subpatterns[1:])
                 if gap.upper is not None), default=0)
@@ -128,20 +124,20 @@ class BitPlan:
                        None if gap.upper is None else gap.upper - gap.lower + 1)
                       for gap, after in zip(pattern.gaps, pieces[1:])]
         self._lead = max(map(len, pieces)) - 1
-        self._match_keep = _match_carry(pattern)
-        span = pattern.max_match_span
-        self._combos_keep = None if span is None else span - 1
+        self._keep = _carry(pattern)
+        self._bounded = pattern.bounded
 
-    def _forward(self, data: bytes, keep: int, occurrences: list[int] | None = None
+    def _forward(self, data: bytes, occurrences: list[int] | None = None
                  ) -> Iterator[tuple[int, int, list[int]]]:
         """Per block: its end (0-based, exclusive), its length, each layer's bits.
 
         Bit 0 is the block's last position.  A layer's bits cover the
-        block and up to ``keep`` positions before it; the last layer's
+        block and up to ``_keep`` positions before it; the last layer's
         cover the block only.  ``occurrences``, if given, gains each
         layer's occurrences in the block, relevant or not.
         """
         tables, pieces, gaps, lead = self._tables, self._pieces, self._gaps, self._lead
+        keep = self._keep
         size = max(MIN_BLOCK, keep, lead + 1)
         tail = (1 << keep) - 1 if size < len(data) else 0
         last = len(pieces) - 1
@@ -181,7 +177,7 @@ class BitPlan:
 
     def ends(self, text: bytes | str) -> Iterator[int]:
         """Match end positions (1-based, ascending), as ``find_endpoints`` gives."""
-        for stop, _, layers in self._forward(ensure_bytes(text), self._match_keep):
+        for stop, _, layers in self._forward(ensure_bytes(text)):
             yield from _positions(layers[-1], stop)
 
     def runs(self, text: bytes | str) -> Iterator[Run]:
@@ -190,18 +186,16 @@ class BitPlan:
         They come in ``report_on_the_fly``'s order: by last end, then by
         the earlier ends from the last to the first.  Requires bounded gaps.
         """
-        keep = self._combos_keep
-        if keep is None:
+        if not self._bounded:
             raise ValueError("combination reporting requires bounded gaps")
         base = [0] * (len(self._pieces) + 1)
-        for stop, length, layers in self._forward(ensure_bytes(text), keep):
+        for stop, length, layers in self._forward(ensure_bytes(text)):
             if layers[-1]:
-                yield from expand(self._graph(stop, length, layers, keep), base)
+                yield from expand(self._graph(stop, length, layers), base)
 
     def count(self, text: bytes | str) -> Counts:
         """``stats``' counts, equal to those of ``MatcherState`` and
         ``count_combinations``; ``beta`` is None with an unbounded gap."""
-        keep = self._combos_keep
         occurrences = [0] * len(self._pieces)
         matches = beta = 0
         base = [0] * (len(self._pieces) + 1)
@@ -211,14 +205,12 @@ class BitPlan:
                   (shift + width - 1, width, 1 + (shift + width - 1) // (width + 1))
                   for shift, width in self._gaps]
         peaks = [0] * len(ranges)
-        for stop, length, layers in self._forward(
-                ensure_bytes(text), self._match_keep if keep is None else keep,
-                occurrences):
+        for stop, length, layers in self._forward(ensure_bytes(text), occurrences):
             found = layers[-1]
             if found:
                 matches += found.bit_count()
-                if keep is not None:
-                    beta += count_paths(self._graph(stop, length, layers, keep), base)
+                if self._bounded:
+                    beta += count_paths(self._graph(stop, length, layers), base)
             block = (1 << length) - 1
             for i, (reach, width, most) in enumerate(ranges):
                 ends = layers[i]
@@ -238,16 +230,16 @@ class BitPlan:
                     for end in _positions(late, stop):
                         held = bisect_left(closed, end) - bisect_left(closed, end - reach)
                         peaks[i] = max(peaks[i], 1 + held)
-        return Counts(occurrences, matches, None if keep is None else beta, peaks)
+        return Counts(occurrences, matches, beta if self._bounded else None, peaks)
 
-    def _graph(self, stop: int, length: int, layers: list[int],
-               keep: int) -> list[tuple[list[int], list[int], list[int]]]:
+    def _graph(self, stop: int, length: int,
+               layers: list[int]) -> list[tuple[list[int], list[int], list[int]]]:
         """The block's graph in ``gapgraph``'s format, every index absolute
         with base 0: the occurrences on some match ending in the block,
         each linked to its predecessor run once."""
         gaps = self._gaps
         found = layers[-1]
-        window = length + min(keep, stop - length)
+        window = length + min(self._keep, stop - length)
         ends = [list(_positions(found, stop))]
         for i in range(len(gaps) - 1, -1, -1):
             shift, width = gaps[i]

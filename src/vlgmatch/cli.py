@@ -6,7 +6,8 @@ oracle match / oracle combos (brute-force reference, same output shapes).
 match, combos and stats run the bit-parallel engine (``bitvec``) when the
 pattern has few distinct bytes, few literal bytes and narrow gaps, and the
 paper's streaming engine otherwise; ``combos --engine`` forces one of the
-paper's engines.  Both give the same lines in the same order.
+paper's engines.  Every engine, and the oracle, gives the same lines in
+the same order.
 
 Input is a file path or "-" for stdin.  FASTA input (enabled by --fasta or
 auto-detected from a leading ">") is searched record by record with
@@ -199,7 +200,9 @@ def _combos(args, pattern, docs, fasta) -> None:
 def _oracle_combos(args, pattern, docs, fasta) -> None:
     from . import oracle  # compiled only when asked for, to keep start-up short
     for doc in docs:
-        combos = sorted(oracle.brute_force_combinations(pattern, doc.sequence))
+        # by last end, then by the earlier ends from the last: the engines' order
+        combos = sorted(oracle.brute_force_combinations(pattern, doc.sequence),
+                        key=lambda combo: combo[::-1])
         _run_writer(args, fasta, doc.ident)(
             (combo[1:], [combo[0]]) for combo in combos)
 

@@ -9,12 +9,13 @@ Two drivers are provided, each a wrapper with a sink per combination
 over a core that hands ``expand``'s runs ``(suffix, firsts)`` to a run
 sink.  ``report_chunked`` (core ``chunked_runs``) rebuilds the graph over
 overlapping text windows and keeps memory bounded by the window size
-regardless of text length.  A window claims the combinations whose match
-starts in its claim range; ``firsts`` ascend, so they form one slice of
-each run, found by bisection.  Output comes by claiming window, then as on
-the fly.  ``report_on_the_fly`` (core ``on_the_fly_runs``) streams the text
-once and emits every combination the moment its final occurrence appears,
-pruning nodes that can no longer contribute.  Both require bounded gaps.
+regardless of text length.  A window claims the matches whose last end
+falls in its trailing stride positions, so its claim is a suffix of its
+final layer, expanded as one frame.  ``report_on_the_fly`` (core
+``on_the_fly_runs``) streams the text once and emits every combination the
+moment its final occurrence appears, pruning nodes that can no longer
+contribute.  Both give the same combinations in the same order, and both
+require bounded gaps.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class ChunkPlan(NamedTuple):
 
     Window i (0-based) covers positions [i*stride + 1, i*stride + length],
     clipped to the text.  Consecutive windows overlap in length - stride
-    positions, which is at least the longest possible match span, so every
+    positions, at least the longest possible match span less one, so every
     match lies wholly inside some window.
     """
 
@@ -98,11 +99,13 @@ def chunked_runs(pattern: VlgPattern, text: bytes | str, sink: RunSink, *,
                  chunk_len: int | None = None) -> ChunkCounters:
     """Hand ``sink`` each window's claimed runs, in text positions.
 
-    A window claims a combination iff the match start falls inside the
-    window's leading stride positions (the final window claims through the
-    end of the text); the claim windows partition the text, and a claimed
-    match always fits inside its window.  At most two window graphs are
-    alive at once: the previous one is released only when the next is built.
+    A window claims the matches whose last end falls in its trailing
+    stride positions (the first window's claim starts at position 1), so
+    the claims partition the text and a claimed match fits in its window.
+    Windows ascend, each expanding its claimed final nodes in ascending
+    order: the runs come in ``on_the_fly_runs``' order.  At most two window
+    graphs are alive at once: the previous one is released only when the
+    next is built.
     """
     data = ensure_bytes(text)
     span = pattern.max_match_span
@@ -110,29 +113,26 @@ def chunked_runs(pattern: VlgPattern, text: bytes | str, sink: RunSink, *,
         raise ValueError("combination reporting requires bounded gaps")
     counters = ChunkCounters()
     plan = plan_chunks(span, len(data), chunk_len)
-    head_len = len(pattern.subpatterns[0])
+    k = pattern.num_subpatterns
     for index in range(plan.count):
         offset = index * plan.stride
         graph = build_implicit_gap_graph(pattern, data[offset:offset + plan.length])
         counters.chunks += 1
         # ``graph`` still held the previous window's graph while this one was built
         counters.peak_graphs = min(counters.chunks, 2)
-        if not graph.layer(pattern.num_subpatterns):
-            continue  # most windows of sparse text hold no match
-        # all of a window's matches start inside it: only the claim's end cuts
-        limit = plan.length if index == plan.count - 1 else plan.stride + head_len - 1
-        sink(_claimed(expand(graph._layers, graph._base), limit, offset, counters))
+        finals = graph.layer(k)
+        # an unpruned graph's indices are absolute: every base is 0
+        lo = bisect_right(finals, plan.length - plan.stride) if index else 0
+        if lo < len(finals):  # most windows of sparse text hold no match
+            runs = expand(graph._layers, graph._base, (k, lo, len(finals) - 1, ()))
+            sink(_shifted(runs, offset, counters))
     return counters
 
 
-def _claimed(runs: Iterable[Run], limit: int, offset: int,
+def _shifted(runs: Iterable[Run], offset: int,
              counters: ChunkCounters) -> Iterator[Run]:
-    """Each run's part with first ends up to ``limit``, shifted by ``offset``."""
+    """``runs`` shifted by ``offset`` positions, counted into ``counters``."""
     for suffix, firsts in runs:
-        if firsts[0] > limit:
-            continue
-        if firsts[-1] > limit:
-            firsts = firsts[:bisect_right(firsts, limit)]
         counters.emitted += len(firsts)
         yield tuple([end + offset for end in suffix]), [end + offset for end in firsts]
 

@@ -99,32 +99,34 @@ def test_unbounded_pattern_can_match(capsys, example_file):
     assert out == "17\n23\n28\n31\n"
 
 
-def _parse_combo_lines(out):
-    return sorted(tuple(map(int, line.split(","))) for line in out.splitlines())
-
-
-def test_combos_both_engines_agree_with_oracle(capsys, example_file):
-    outputs = {}
-    for label, extra in (
-        ("onthefly", ["--engine", "onthefly"]),
-        ("chunked", ["--engine", "chunked"]),
-        ("chunked-min", ["--engine", "chunked", "--chunk-len", "21"]),
-    ):
-        code, out, _ = _run(capsys, [
-            "combos", "-p", helpers.COMBO_PATTERN, "-t", example_file] + extra)
-        assert code == 0
-        outputs[label] = _parse_combo_lines(out)
-    code, oracle_out, _ = _run(capsys, [
-        "oracle", "combos", "-p", helpers.COMBO_PATTERN, "-t", example_file])
-    assert code == 0
-    expected = _parse_combo_lines(oracle_out)
-    # the oracle prints in sorted tuple order already
-    assert [tuple(map(int, line.split(",")))
-            for line in oracle_out.splitlines()] == expected
-    for label, combos in outputs.items():
-        assert combos == expected, label
-    assert len(expected) == 17
-    assert (5, 9, 12, 17) in expected
+def test_combos_both_engines_agree_with_oracle(capsys, example_file, tmp_path):
+    """Every engine and the oracle print the same bytes: plain and FASTA
+    input, text and JSON lines."""
+    fasta = tmp_path / "two.fa"
+    fasta.write_bytes(b">r1\n" + helpers.EXAMPLE_TEXT + b"\n>r2 x\n"
+                      + helpers.EXAMPLE_TEXT[5:] + b"\n")
+    for path in (example_file, str(fasta)):
+        for fmt in ("text", "json"):
+            outputs = {}
+            for label, argv in (
+                ("default", ["combos"]),
+                ("onthefly", ["combos", "--engine", "onthefly"]),
+                ("chunked", ["combos", "--engine", "chunked"]),
+                ("chunked-min", ["combos", "--engine", "chunked", "--chunk-len", "21"]),
+                ("oracle", ["oracle", "combos"]),
+            ):
+                code, out, err = _run(capsys, argv + [
+                    "-p", helpers.COMBO_PATTERN, "-t", path, "--format", fmt])
+                assert (code, err) == (0, "")
+                outputs[label] = out
+            for label, out in outputs.items():
+                assert out == outputs["oracle"], (path, fmt, label)
+    code, out, _ = _run(capsys, [
+        "combos", "-p", helpers.COMBO_PATTERN, "-t", example_file])
+    combos = [tuple(map(int, line.split(","))) for line in out.splitlines()]
+    assert len(combos) == 17 and (5, 9, 12, 17) in combos
+    # by last end, then by the earlier ends from the last
+    assert combos == sorted(combos, key=lambda combo: combo[::-1])
 
 
 def test_combos_json_round_trip(capsys, example_file):
@@ -556,7 +558,8 @@ def test_engine_choice_at_the_carry_limit(capsys, built, tmp_path, expr, bits):
 LIBRARY_COMBOS = {
     "onthefly": lambda pattern, text: _collect(report_on_the_fly, pattern, text),
     "chunked": lambda pattern, text: _collect(report_chunked, pattern, text),
-    "oracle": lambda pattern, text: sorted(brute_force_combinations(pattern, text)),
+    "oracle": lambda pattern, text: sorted(brute_force_combinations(pattern, text),
+                                           key=lambda combo: combo[::-1]),
 }
 
 

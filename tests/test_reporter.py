@@ -116,39 +116,56 @@ def test_plan_chunks_layout():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 40), st.integers(0, 400), st.integers(0, 60))
 def test_plan_chunks_windows_cover_and_claims_partition(span, text_len, pad):
+    """A window claims the last ends in its trailing stride positions, the
+    first window from position 1: the claims tile the text, and a match
+    whose last end is claimed fits in the window."""
     length = span + pad
     plan = plan_chunks(span, text_len, length)
     assert plan.stride == max(1, length - span)
     next_lo = 1
     for index in range(plan.count):
         offset = index * plan.stride
-        claim_lo = offset + 1
-        claim_hi = text_len if index == plan.count - 1 else offset + plan.stride
+        claim_lo = offset + length - plan.stride + 1 if index else 1
+        claim_hi = offset + length
         assert claim_lo == next_lo
         next_lo = claim_hi + 1
-        if index < plan.count - 1:
-            # a match starting inside the claim window fits in the window
-            assert claim_hi + span - 1 <= offset + plan.length
-    # claims end exactly at the text end, which the final window reaches
-    assert next_lo == text_len + 1
-    assert (plan.count - 1) * plan.stride + plan.length >= text_len
+        # the earliest start of a match ending at claim_lo is in the window
+        assert claim_lo - span + 1 >= offset + 1 or index == 0
+    # the final window reaches the text end, and no window lies past it
+    assert next_lo > text_len
+    assert plan.count == 1 or next_lo - plan.stride <= text_len
 
 
 def test_chunked_claims_match_on_stride_boundary_once():
-    """A match whose start is the first claimed position of a window."""
-    pattern = parse_pattern("A.{0,2}B")  # span 4: windows len 8, stride 4
-    text = b"XXXXABXXXXXX"
-    plan = plan_chunks(pattern.max_match_span, len(text))
-    assert plan.stride == 4 and plan.count == 2
-    combos = _collect(report_chunked, pattern, text)
-    assert combos == [(5, 6)]
+    """Matches whose last end is window-local length - stride, the last end
+    the window before claims, and length - stride + 1, the first it claims;
+    at stride 1 (the minimal window) and at stride span."""
+    pattern = parse_pattern("A.{0,2}B")  # span 4
+    span = pattern.max_match_span
+    for chunk_len in (span, 2 * span):
+        plan = plan_chunks(span, 40, chunk_len)
+        text = bytearray(b"X" * 40)
+        ends = []
+        for index, local in ((2, plan.length - plan.stride),
+                             (5, plan.length - plan.stride + 1)):
+            end = index * plan.stride + local
+            text[end - 3:end] = b"AAB"  # two combinations end at ``end``
+            ends.append(end)
+        expected = [(end - shift, end) for end in ends for shift in (2, 1)]
+        assert _collect(report_on_the_fly, pattern, bytes(text)) == expected
+        got: list[tuple[int, ...]] = []
+        counters = report_chunked(pattern, bytes(text), got.append,
+                                  chunk_len=chunk_len)
+        assert got == expected, chunk_len
+        assert counters.emitted == 4
 
 
 def test_chunked_match_visible_in_two_windows_emitted_once():
     pattern = parse_pattern("A.{0,2}B")
-    text = b"XXXABXXXXXXX"  # start 4 claimed by window 1, also inside window 2
+    # windows 1-8 and 5-12: the first claims last end 7, the second holds it too
+    text = b"XXXXXABXXXXX"
     combos = _collect(report_chunked, pattern, text)
-    assert combos == [(4, 5)]
+    assert combos == [(6, 7)]
 
 
 def test_chunked_counters_and_retention():
@@ -194,23 +211,6 @@ def test_chunk_length_sweep_reports_each_combination_once():
         assert len(combos) == len(set(combos))
 
 
-def _claim_filter(pattern, text, chunk_len):
-    """Reference chunked output: every window's ``expand_combinations``,
-    kept one tuple at a time when its match starts in the window's claim."""
-    plan = plan_chunks(pattern.max_match_span, len(text), chunk_len)
-    head_len = len(pattern.subpatterns[0])
-    out = []
-    for index in range(plan.count):
-        offset = index * plan.stride
-        claim_hi = len(text) if index == plan.count - 1 else offset + plan.stride
-        local: list[tuple[int, ...]] = []
-        graph = build_implicit_gap_graph(pattern, text[offset:offset + plan.length])
-        expand_combinations(graph, local.append)
-        out += [tuple(end + offset for end in combo) for combo in local
-                if offset < combo[0] + offset - head_len + 1 <= claim_hi]
-    return out
-
-
 def _random_dna(seed, size):
     return bytes(random.Random(seed).choices(b"ACGT", k=size))
 
@@ -221,23 +221,19 @@ def _random_dna(seed, size):
     ("GT", _random_dna(2, 500) + b"GT"),
     ("A.{0,200}C", _random_dna(3, 5000) + b"AC"),
 ], ids=["dna-head3", "periodic", "one-piece", "wide-gap"])
-def test_chunked_order_equals_the_per_tuple_claim_filter(expr, text):
-    """Run slices claim exactly the tuple filter's output, in its order; each
-    text ends in a match that only the last window's claim to the end holds."""
+def test_chunked_order_equals_on_the_fly(expr, text):
+    """Chunked output is the on-the-fly list at every window length; each
+    text ends in a match that the final window claims."""
     pattern = parse_pattern(expr)
     span = pattern.max_match_span
-    head_len = len(pattern.subpatterns[0])
-    past_stride = []
+    expected = _collect(report_on_the_fly, pattern, text)
+    assert expected[-1][-1] == len(text)
     for chunk_len in (span, span + 1, 2 * span, None):
-        expected = _claim_filter(pattern, text, chunk_len)
         got: list[tuple[int, ...]] = []
         counters = report_chunked(pattern, text, got.append, chunk_len=chunk_len)
         assert got == expected, chunk_len
-        assert counters.emitted == len(expected) > 0
-        plan = plan_chunks(span, len(text), chunk_len)
-        last_stride_end = plan.count * plan.stride
-        past_stride.append(max(c[0] - head_len + 1 for c in got) > last_stride_end)
-    assert any(past_stride)
+        assert counters.emitted == len(expected)
+        assert counters.chunks > 1
 
 
 def test_many_combinations_per_match():
@@ -293,9 +289,7 @@ def test_all_reporters_agree_with_the_oracle(seed):
     assert len(streamed) == len(set(streamed))
     assert set(streamed) == expected
     assert [c[-1] for c in streamed] == sorted(c[-1] for c in streamed)
-    chunked = _collect(report_chunked, pattern, text)
-    assert len(chunked) == len(set(chunked))
-    assert set(chunked) == expected
+    assert _collect(report_chunked, pattern, text) == streamed
 
 
 @settings(max_examples=60, deadline=None)
@@ -304,7 +298,6 @@ def test_chunked_agrees_across_window_lengths(seed, pad):
     rng = random.Random(seed)
     pattern, text = helpers.random_instance(rng, max_text=120)
     span = pattern.max_match_span
-    expected = set(_collect(report_chunked, pattern, text))
-    combos = _collect(report_chunked, pattern, text, chunk_len=span + pad)
-    assert len(combos) == len(set(combos))
-    assert set(combos) == expected
+    expected = _collect(report_on_the_fly, pattern, text)
+    for chunk_len in (span, span + pad):
+        assert _collect(report_chunked, pattern, text, chunk_len=chunk_len) == expected
