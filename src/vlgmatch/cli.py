@@ -185,10 +185,8 @@ def _combos(args, pattern, docs, fasta) -> None:
         from . import bitvec  # compiled only by the commands that may run it
         if bitvec.suits(pattern):
             plan = pattern.bitplan
-    if args.engine == "chunked":
-        report = partial(chunked_runs, pattern, chunk_len=args.chunk_len)
-    else:
-        report = partial(on_the_fly_runs, pattern)
+    report = (partial(chunked_runs, pattern, chunk_len=args.chunk_len)
+              if args.engine == "chunked" else partial(on_the_fly_runs, pattern))
     for doc in docs:
         write = _run_writer(args, fasta, doc.ident)
         if plan is None:

@@ -7,26 +7,25 @@ work is proportional to the output.
 
 Two drivers are provided, each a wrapper with a sink per combination
 over a core that hands ``expand``'s runs ``(suffix, firsts)`` to a run
-sink.  ``report_chunked`` (core ``chunked_runs``) rebuilds the graph over
-overlapping text windows and keeps memory bounded by the window size
-regardless of text length.  A window claims the matches whose last end
-falls in its trailing stride positions, so its claim is a suffix of its
-final layer, expanded as one frame.  ``report_on_the_fly`` (core
-``on_the_fly_runs``) streams the text once and emits every combination the
-moment its final occurrence appears, pruning nodes that can no longer
-contribute.  Both give the same combinations in the same order, and both
-require bounded gaps.
+sink.  ``report_chunked`` (core ``chunked_runs``) scans once and builds
+one graph per overlapping text window from buffered events, so memory is
+bounded by the window size.  ``report_on_the_fly`` (``on_the_fly_runs``)
+streams the text once and emits every combination the moment its final
+occurrence appears, pruning nodes that can no longer contribute.  Both
+give the same combinations in the same order, and both require bounded
+gaps.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
-from .gapgraph import (GraphBuilder, GraphCounters, Run, build_implicit_gap_graph,
-                       count_paths, expand)
+from .automaton import OccEvent
+from .gapgraph import GraphBuilder, GraphCounters, Run, count_paths, expand
 from .pattern import VlgPattern, ensure_bytes
 
 Combination = tuple[int, ...]
@@ -61,9 +60,8 @@ class ChunkPlan(NamedTuple):
     """Overlapping window layout over a text of ``text_len`` characters.
 
     Window i (0-based) covers positions [i*stride + 1, i*stride + length],
-    clipped to the text.  Consecutive windows overlap in length - stride
-    positions, at least the longest possible match span less one, so every
-    match lies wholly inside some window.
+    clipped to the text.  Windows overlap in length - stride positions, at
+    least the longest match span less one, so every match fits in one.
     """
 
     length: int
@@ -81,17 +79,14 @@ def plan_chunks(span: int, text_len: int, length: int | None = None) -> ChunkPla
         raise ValueError(
             f"chunk length {length} is shorter than the match span bound {span}")
     stride = max(1, length - span)
-    if text_len <= length:
-        count = 1
-    else:
-        count = 1 + -(-(text_len - length) // stride)
-    return ChunkPlan(length, stride, count)
+    # the window whose trailing stride positions hold the text's last one
+    return ChunkPlan(length, stride, 1 + max(0, -((length - text_len) // stride)))
 
 
 @dataclass
 class ChunkCounters:
-    chunks: int = 0
-    peak_graphs: int = 0
+    chunks: int = 0  # windows planned, built or not
+    peak_graphs: int = 0  # window graphs alive at once; 0 if none was built
     emitted: int = 0
 
 
@@ -102,39 +97,55 @@ def chunked_runs(pattern: VlgPattern, text: bytes | str, sink: RunSink, *,
     A window claims the matches whose last end falls in its trailing
     stride positions (the first window's claim starts at position 1), so
     the claims partition the text and a claimed match fits in its window.
-    Windows ascend, each expanding its claimed final nodes in ascending
-    order: the runs come in ``on_the_fly_runs``' order.  At most two window
-    graphs are alive at once: the previous one is released only when the
-    next is built.
+    One scan buffers the last window length of events.  Once it passes the
+    end of a window whose claim holds a final-layer occurrence, they are
+    replayed into a fresh graph at text positions, whose claimed final
+    nodes are expanded in ascending order before it is dropped: the runs
+    come in ``on_the_fly_runs``' order, one window graph alive at most.
     """
     data = ensure_bytes(text)
     span = pattern.max_match_span
     if span is None:
         raise ValueError("combination reporting requires bounded gaps")
-    counters = ChunkCounters()
-    plan = plan_chunks(span, len(data), chunk_len)
+    length, stride, count = plan_chunks(span, len(data), chunk_len)
+    counters = ChunkCounters(chunks=count)
     k = pattern.num_subpatterns
-    for index in range(plan.count):
-        offset = index * plan.stride
-        graph = build_implicit_gap_graph(pattern, data[offset:offset + plan.length])
-        counters.chunks += 1
-        # ``graph`` still held the previous window's graph while this one was built
-        counters.peak_graphs = min(counters.chunks, 2)
+    events: deque[OccEvent] = deque()  # the marked window's, else the latest window's
+    end = 0  # end of the window claiming a buffered final occurrence, or 0
+
+    def counted(run: Run) -> Run:
+        counters.emitted += len(run[1])
+        return run
+
+    def close() -> None:
+        graph = GraphBuilder(pattern)
+        counters.peak_graphs = 1
+        for event in events:
+            graph.feed(event)
         finals = graph.layer(k)
         # an unpruned graph's indices are absolute: every base is 0
-        lo = bisect_right(finals, plan.length - plan.stride) if index else 0
-        if lo < len(finals):  # most windows of sparse text hold no match
-            runs = expand(graph._layers, graph._base, (k, lo, len(finals) - 1, ()))
-            sink(_shifted(runs, offset, counters))
+        lo = bisect_right(finals, end - stride) if end > length else 0
+        if lo < len(finals):  # a final occurrence may have no predecessor
+            frame = (k, lo, len(finals) - 1, ())
+            sink(map(counted, expand(graph._layers, graph._base, frame)))
+
+    def on_event(event: OccEvent) -> None:
+        nonlocal end
+        pos = event.position
+        if end and pos > end:
+            close()
+            end = 0
+        events.append(event)
+        if not end and event.layers[-1] == k:
+            # the window whose trailing stride positions hold pos
+            end = length + max(0, -((length - pos) // stride) * stride)
+        while events[0].position <= (end or pos) - length:
+            events.popleft()
+
+    pattern.automaton.stream(data, on_event)
+    if end:
+        close()
     return counters
-
-
-def _shifted(runs: Iterable[Run], offset: int,
-             counters: ChunkCounters) -> Iterator[Run]:
-    """``runs`` shifted by ``offset`` positions, counted into ``counters``."""
-    for suffix, firsts in runs:
-        counters.emitted += len(firsts)
-        yield tuple([end + offset for end in suffix]), [end + offset for end in firsts]
 
 
 def report_chunked(pattern: VlgPattern, text: bytes | str, sink: Sink, *,

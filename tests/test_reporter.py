@@ -6,13 +6,14 @@ import gc
 import random
 import weakref
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
 from vlgmatch import reporter
-from vlgmatch.gapgraph import build_implicit_gap_graph, tail_span_bounds
+from vlgmatch.gapgraph import GraphBuilder, build_implicit_gap_graph, tail_span_bounds
 from vlgmatch.oracle import brute_force_combinations, combination_count
 from vlgmatch.pattern import parse_pattern
 from vlgmatch.reporter import (count_combinations, expand_combinations,
@@ -168,35 +169,151 @@ def test_chunked_match_visible_in_two_windows_emitted_once():
     assert combos == [(6, 7)]
 
 
+def _record_builders(monkeypatch):
+    """Swap ``reporter.GraphBuilder`` for a subclass that records, per
+    builder made, the positions fed to it, a weak reference to it, and how
+    many recorded builders are alive (after a collection) when it is made."""
+    record = SimpleNamespace(fed=[], refs=[], alive=[])
+
+    class Recording(GraphBuilder):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.fed = []
+            record.fed.append(self.fed)
+            record.refs.append(weakref.ref(self))
+            gc.collect()
+            record.alive.append(sum(ref() is not None for ref in record.refs))
+
+        def feed(self, event):
+            self.fed.append(event.position)
+            super().feed(event)
+
+    monkeypatch.setattr(reporter, "GraphBuilder", Recording)
+    return record
+
+
 def test_chunked_counters_and_retention():
     pattern = parse_pattern(helpers.COMBO_PATTERN)
+    span = pattern.max_match_span
     counters = report_chunked(pattern, helpers.EXAMPLE_TEXT, lambda combo: None,
-                              chunk_len=pattern.max_match_span)
-    assert counters.chunks > 2
-    assert counters.peak_graphs == 2
+                              chunk_len=span)
+    # every planned window is counted, whether or not its graph is built
+    plan = plan_chunks(span, len(helpers.EXAMPLE_TEXT), span)
+    assert counters.chunks == plan.count > 2
+    assert counters.peak_graphs == 1
     assert counters.emitted == 17
     single = report_chunked(pattern, helpers.EXAMPLE_TEXT, lambda combo: None)
     assert single.chunks == 1 and single.peak_graphs == 1
 
 
-def test_chunked_keeps_at_most_two_window_graphs_alive(monkeypatch):
-    """Weak references to every window graph, counted as each is built."""
-    refs: list[weakref.ref] = []
-    alive: list[int] = []
-
-    def build(pattern, text):
-        graph = build_implicit_gap_graph(pattern, text)
-        refs.append(weakref.ref(graph))
-        gc.collect()
-        alive.append(sum(ref() is not None for ref in refs))
-        return graph
-
-    monkeypatch.setattr(reporter, "build_implicit_gap_graph", build)
+def test_chunked_keeps_one_window_graph_alive(monkeypatch):
+    """Weak references to every window graph, counted as each is made."""
+    record = _record_builders(monkeypatch)
     pattern = parse_pattern(helpers.COMBO_PATTERN)
     counters = report_chunked(pattern, helpers.EXAMPLE_TEXT, lambda combo: None,
                               chunk_len=pattern.max_match_span)
-    assert len(alive) == counters.chunks > 2
-    assert max(alive) == counters.peak_graphs == 2
+    assert counters.chunks > len(record.alive) > 2
+    assert max(record.alive) == counters.peak_graphs == 1
+    gc.collect()
+    assert all(ref() is None for ref in record.refs)
+
+
+def _claiming_windows(pattern, text, chunk_len):
+    """Per window whose claim holds a final-layer occurrence, in order:
+    the positions of its events, from an independent scan."""
+    plan = plan_chunks(pattern.max_match_span, len(text), chunk_len)
+    events = []
+    pattern.automaton.stream(text, events.append)
+    finals = [e.position for e in events if pattern.num_subpatterns in e.layers]
+    windows = []
+    for index in range(plan.count):
+        offset = index * plan.stride
+        claim_lo = offset + plan.length - plan.stride + 1 if index else 1
+        if any(claim_lo <= end <= offset + plan.length for end in finals):
+            windows.append([e.position for e in events
+                            if offset < e.position <= offset + plan.length])
+    return windows
+
+
+@pytest.mark.parametrize("minimal", [True, False], ids=["stride-1", "2-span"])
+def test_chunked_piece_straddling_the_window_offset(monkeypatch, minimal):
+    """A seven-byte piece starts before the offset of the window that claims
+    the match after it and ends inside it, with a compatible second piece:
+    both are replayed into that window's graph, and no claimed match
+    reaches them."""
+    pattern = parse_pattern("GATTACA.{0,3}CC.{0,2}T")  # span 15
+    span = pattern.max_match_span
+    chunk_len = span if minimal else 2 * span
+    # the match ending at e: window (e - 15, e] at stride 1, (15, 45] at 2*span
+    lead = 0 if minimal else 12
+    text = b"X" * lead + b"GATTACACC" + b"GATTACACCT" + b"X" * 20
+    e = lead + 19
+    offset = e - span if minimal else span
+    straddler = lead + 7  # the first GATTACA ends here and starts at lead + 1
+    assert lead + 1 <= offset < straddler
+    expected = _collect(report_on_the_fly, pattern, text)
+    record = _record_builders(monkeypatch)
+    got = _collect(report_chunked, pattern, text, chunk_len=chunk_len)
+    assert got == expected
+    assert (lead + 16, lead + 18, lead + 19) in got
+    assert any(straddler in fed and lead + 9 in fed and e in fed
+               for fed in record.fed)
+    assert record.fed == _claiming_windows(pattern, text, chunk_len)
+
+
+def test_chunked_builds_only_windows_claiming_a_final_occurrence(monkeypatch):
+    """Sparse text: a rare final piece, three planted matches and a final
+    piece with no predecessor; most windows claim nothing and build
+    nothing, and each graph built replays exactly its window's events."""
+    pattern = parse_pattern("AC.{0,4}GGATCC")  # span 12
+    text = bytearray(_random_dna(5, 4000))
+    for end in (700, 2101, 3999):
+        text[end - 10:end] = b"ACTTGGATCC"
+    text[1500:1506] = b"GGATCC"  # preceded by no AC within the gap
+    text = bytes(text)
+    expected = _collect(report_on_the_fly, pattern, text)
+    assert len(expected) >= 3
+    span = pattern.max_match_span
+    for chunk_len in (span, span + 1, 2 * span + 3, None):
+        record = _record_builders(monkeypatch)
+        got: list[tuple[int, ...]] = []
+        counters = report_chunked(pattern, text, got.append, chunk_len=chunk_len)
+        assert got == expected, chunk_len
+        windows = _claiming_windows(pattern, text, chunk_len)
+        assert record.fed == windows, chunk_len
+        assert 4 <= len(windows) < counters.chunks // 20
+        assert counters.peak_graphs == 1
+
+
+@pytest.mark.parametrize("text", [b"", b"A", b"GACT", b"GGACTTGATCC"],
+                         ids=["empty", "one-byte", "no-match", "one-match"])
+def test_chunked_text_shorter_than_one_window(text):
+    pattern = parse_pattern("G.{0,3}AC.{0,4}T")  # span 12
+    got: list[tuple[int, ...]] = []
+    counters = report_chunked(pattern, text, got.append)
+    assert got == _collect(report_on_the_fly, pattern, text)
+    assert counters.chunks == 1 and counters.emitted == len(got)
+    assert counters.peak_graphs == (1 if b"T" in text else 0)
+
+
+@pytest.mark.parametrize("expr, alphabet", [
+    ("CA.{0,3}TCA", b"ACT"),
+    ("A.{0,2}GA.{0,2}A", b"AG"),
+], ids=["suffix-of-last", "suffix-of-two"])
+def test_chunked_events_carrying_the_final_and_lower_layers(expr, alphabet):
+    """A piece that is a suffix of the last piece: final-layer events also
+    carry lower layers, and some carry only a lower one."""
+    pattern = parse_pattern(expr)
+    k = pattern.num_subpatterns
+    text = bytes(random.Random(8).choices(alphabet, k=600))
+    events = []
+    pattern.automaton.stream(text, events.append)
+    assert any(e.layers[-1] == k and len(e.layers) > 1 for e in events)
+    expected = _collect(report_on_the_fly, pattern, text)
+    assert expected
+    span = pattern.max_match_span
+    for chunk_len in (span, span + 1, 2 * span, 2 * span + 3):
+        assert _collect(report_chunked, pattern, text, chunk_len=chunk_len) == expected
 
 
 def test_chunk_length_sweep_reports_each_combination_once():
