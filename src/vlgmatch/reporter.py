@@ -79,7 +79,7 @@ def plan_chunks(span: int, text_len: int, length: int | None = None) -> ChunkPla
         raise ValueError(
             f"chunk length {length} is shorter than the match span bound {span}")
     stride = max(1, length - span)
-    # the window whose trailing stride positions hold the text's last one
+    # windows up to the one claiming the text's last position
     return ChunkPlan(length, stride, 1 + max(0, -((length - text_len) // stride)))
 
 
@@ -137,7 +137,7 @@ def chunked_runs(pattern: VlgPattern, text: bytes | str, sink: RunSink, *,
             end = 0
         events.append(event)
         if not end and event.layers[-1] == k:
-            # the window whose trailing stride positions hold pos
+            # the window claiming pos, as in plan_chunks' count
             end = length + max(0, -((length - pos) // stride) * stride)
         while events[0].position <= (end or pos) - length:
             events.popleft()

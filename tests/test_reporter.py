@@ -286,7 +286,7 @@ def test_chunked_builds_only_windows_claiming_a_final_occurrence(monkeypatch):
 
 
 @pytest.mark.parametrize("text", [b"", b"A", b"GACT", b"GGACTTGATCC"],
-                         ids=["empty", "one-byte", "no-match", "one-match"])
+                         ids=["empty", "one-byte", "no-match", "matches"])
 def test_chunked_text_shorter_than_one_window(text):
     pattern = parse_pattern("G.{0,3}AC.{0,4}T")  # span 12
     got: list[tuple[int, ...]] = []
