@@ -17,12 +17,13 @@ H bits of every layer but the last carry into the next block, H the
 match span less one (with an unbounded gap, the widest bounded gap plus
 the piece after it), enough to reach every occurrence on a match in it.
 
-``BitPlan.ends`` reads the match ends off the last layer.
-``BitPlan.runs`` then passes backward from the block's match ends,
-keeping only occurrences on some match ending in the block, links each
-to its predecessor run once and expands them with ``gapgraph.expand``.
+``BitPlan`` has ``reporter.StreamPlan``'s methods.  ``ends`` reads the
+match ends off the last layer.  ``runs`` passes backward from a block's
+match ends, keeping only occurrences on some match ending in the block,
+links each to its predecessor run once and hands the block's runs, from
+``gapgraph.expand``, to the sink.
 
-``BitPlan.count`` reads what ``stats`` reports off the same blocks.  A
+``count`` reads what ``stats`` reports off the same blocks.  A
 layer's occurrences are the set bits of its piece's AND chain before the
 relevance AND, the matches are the last layer's bits, and β is the path
 count (``gapgraph.count_paths``) of the block graphs ``runs`` expands.
@@ -39,9 +40,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import compress
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
-from .gapgraph import Run, count_paths, expand
+from .gapgraph import Counts, RunSink, count_paths, expand
 from .pattern import VlgPattern, ensure_bytes
 
 # The CLI runs this engine for patterns with at most MAX_SIGMA distinct
@@ -59,15 +60,6 @@ MIN_BLOCK = 1024
 
 # "0"/"1" digits to false/true selectors for itertools.compress
 _SELECT = bytes.maketrans(b"01", b"\0\1")
-
-
-class Counts(NamedTuple):
-    """One text's ``stats`` counts; lists are per layer, ``peak_ranges`` per gap."""
-
-    layer_occurrences: list[int]
-    matches: int
-    beta: int | None
-    peak_ranges: list[int]
 
 
 def suits(pattern: VlgPattern) -> bool:
@@ -107,7 +99,7 @@ def _smear_later(bits: int, width: int) -> int:
 
 
 class BitPlan:
-    """The bit engine's per-pattern tables; ``VlgPattern.bitplan`` builds one."""
+    """The bit engine's per-pattern tables; build one per pattern and reuse it."""
 
     def __init__(self, pattern: VlgPattern) -> None:
         pieces = pattern.subpatterns
@@ -180,8 +172,9 @@ class BitPlan:
         for stop, _, layers in self._forward(ensure_bytes(text)):
             yield from _positions(layers[-1], stop)
 
-    def runs(self, text: bytes | str) -> Iterator[Run]:
-        """Every combination, as ``gapgraph`` runs ``(suffix, firsts)``.
+    def runs(self, text: bytes | str, sink: RunSink) -> None:
+        """Hand ``sink`` the runs ``(suffix, firsts)`` of every combination,
+        once per block that holds a match.
 
         They come in ``report_on_the_fly``'s order: by last end, then by
         the earlier ends from the last to the first.  Requires bounded gaps.
@@ -191,7 +184,7 @@ class BitPlan:
         base = [0] * (len(self._pieces) + 1)
         for stop, length, layers in self._forward(ensure_bytes(text)):
             if layers[-1]:
-                yield from expand(self._graph(stop, length, layers), base)
+                sink(expand(self._graph(stop, length, layers), base))
 
     def count(self, text: bytes | str) -> Counts:
         """``stats``' counts, equal to those of ``MatcherState`` and

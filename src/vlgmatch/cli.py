@@ -3,11 +3,11 @@
 Subcommands: match (end positions), combos (full combinations), graph
 (predecessor graph dump), stats (size and occurrence counters), and
 oracle match / oracle combos (brute-force reference, same output shapes).
-match, combos and stats run the bit-parallel engine (``bitvec``) when the
-pattern has few distinct bytes, few literal bytes and narrow gaps, and the
-paper's streaming engine otherwise; ``combos --engine`` forces one of the
-paper's engines.  Every engine, and the oracle, gives the same lines in
-the same order.
+match, combos and stats run the plan ``_plan`` chooses: the bit-parallel
+``bitvec.BitPlan`` when the pattern has few distinct bytes, few literal
+bytes and narrow gaps, else the paper's engines (``reporter.StreamPlan``),
+one of which ``combos --engine`` may name.  Every engine, and the oracle,
+gives the same lines in the same order.
 
 Input is a file path or "-" for stdin.  FASTA input (enabled by --fasta or
 auto-detected from a leading ">") is searched record by record with
@@ -30,21 +30,19 @@ import os
 import signal
 import sys
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 from typing import BinaryIO, Iterable, Iterator
 
-from .gapgraph import GraphBuilder, Run, build_implicit_gap_graph
-from .matcher import MatcherState, find_endpoints
+from .gapgraph import Run, RunSink, build_implicit_gap_graph
 from .pattern import parse_pattern
-from .reporter import RunSink, chunked_runs, count_combinations, on_the_fly_runs
+from .reporter import StreamPlan
 
 
 @dataclass
 class InputDocument:
-    """One searchable text: a FASTA record or a whole plain file."""
+    """One searchable text: a FASTA record, or a whole plain file (no id)."""
 
-    ident: str
+    ident: str | None
     sequence: bytes
 
 
@@ -115,44 +113,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_documents(args: argparse.Namespace) -> tuple[Iterable[InputDocument], bool]:
+def _load_documents(args: argparse.Namespace) -> Iterable[InputDocument]:
     if args.text == "-":
         raw = sys.stdin.buffer.read()
-        name = "-"
     else:
         with open(args.text, "rb") as handle:
             raw = handle.read()
-        name = os.path.basename(args.text)
     if args.fasta or raw.startswith(b">"):
         # parsed as the commands ask, so one record is held at a time
-        return ingest_fasta(io.BytesIO(raw)), True
+        return ingest_fasta(io.BytesIO(raw))
     if raw.endswith(b"\r\n"):
         raw = raw[:-2]
     elif raw.endswith(b"\n"):
         raw = raw[:-1]
-    return [InputDocument(name, raw)], False
+    return [InputDocument(None, raw)]
 
 
-def _line_format(args, fasta: bool, ident: str, key: str) -> tuple[str, str, str]:
+def _line_format(args, ident: str | None, key: str) -> tuple[str, str, str]:
     """(head, sep, close): a line is head + sep.join(values) + close."""
     if args.format == "text":
-        return (f"{ident}:" if fasta else ""), ",", "\n"
-    head = "{" + (f'"record": {json.dumps(ident)}, ' if fasta else "")
+        return ("" if ident is None else f"{ident}:"), ",", "\n"
+    head = "{" + ("" if ident is None else f'"record": {json.dumps(ident)}, ')
     if key == "end":
         return head + '"end": ', "", "}\n"
     return head + '"ends": [', ", ", "]}\n"
 
 
-def _write_ends(args, fasta: bool, ident: str, ends: Iterable[int]) -> None:
-    head, _, close = _line_format(args, fasta, ident, "end")
+def _write_ends(args, ident: str | None, ends: Iterable[int]) -> None:
+    head, _, close = _line_format(args, ident, "end")
     write = sys.stdout.write
     for end in ends:
         write(f"{head}{end}{close}")
 
 
-def _run_writer(args, fasta: bool, ident: str) -> RunSink:
+def _run_writer(args, ident: str | None) -> RunSink:
     """Writes each run of combinations with one join and one write."""
-    head, sep, close = _line_format(args, fasta, ident, "ends")
+    head, sep, close = _line_format(args, ident, "ends")
     write = sys.stdout.write
 
     def write_runs(runs: Iterable[Run]) -> None:
@@ -162,63 +158,59 @@ def _run_writer(args, fasta: bool, ident: str) -> RunSink:
     return write_runs
 
 
-def _match(args, pattern, docs, fasta) -> None:
-    from . import bitvec  # compiled only by the commands that may run it
-    ends_of = (pattern.bitplan.ends if bitvec.suits(pattern)
-               else partial(find_endpoints, pattern))
-    for doc in docs:
-        _write_ends(args, fasta, doc.ident, ends_of(doc.sequence))
-
-
-def _oracle_match(args, pattern, docs, fasta) -> None:
-    from . import oracle  # compiled only when asked for, to keep start-up short
-    for doc in docs:
-        _write_ends(args, fasta, doc.ident,
-                    oracle.brute_force_endpoints(pattern, doc.sequence))
-
-
-def _combos(args, pattern, docs, fasta) -> None:
-    if args.chunk_len is not None and args.engine != "chunked":
+def _plan(pattern, engine: str | None = None, chunk_len: int | None = None):
+    """The engine a command runs, a ``BitPlan`` or a ``StreamPlan``: the
+    bit engine when ``bitvec.suits`` the pattern and no engine is named."""
+    if chunk_len is not None and engine != "chunked":
         raise ValueError("--chunk-len applies only to --engine chunked")
-    plan = None
-    if args.engine is None:
+    if engine is None:
         from . import bitvec  # compiled only by the commands that may run it
         if bitvec.suits(pattern):
-            plan = pattern.bitplan
-    report = (partial(chunked_runs, pattern, chunk_len=args.chunk_len)
-              if args.engine == "chunked" else partial(on_the_fly_runs, pattern))
+            return bitvec.BitPlan(pattern)
+    return StreamPlan(pattern, engine, chunk_len)
+
+
+def _match(args, pattern, docs) -> None:
+    ends = _plan(pattern).ends
     for doc in docs:
-        write = _run_writer(args, fasta, doc.ident)
-        if plan is None:
-            report(doc.sequence, write)
-        else:
-            write(plan.runs(doc.sequence))
+        _write_ends(args, doc.ident, ends(doc.sequence))
 
 
-def _oracle_combos(args, pattern, docs, fasta) -> None:
+def _oracle_match(args, pattern, docs) -> None:
+    from . import oracle  # compiled only when asked for, to keep start-up short
+    for doc in docs:
+        _write_ends(args, doc.ident, oracle.brute_force_endpoints(pattern, doc.sequence))
+
+
+def _combos(args, pattern, docs) -> None:
+    runs = _plan(pattern, args.engine, args.chunk_len).runs
+    for doc in docs:
+        runs(doc.sequence, _run_writer(args, doc.ident))
+
+
+def _oracle_combos(args, pattern, docs) -> None:
     from . import oracle  # compiled only when asked for, to keep start-up short
     for doc in docs:
         # by last end, then by the earlier ends from the last: the engines' order
         combos = sorted(oracle.brute_force_combinations(pattern, doc.sequence),
                         key=lambda combo: combo[::-1])
-        _run_writer(args, fasta, doc.ident)(
-            (combo[1:], [combo[0]]) for combo in combos)
+        _run_writer(args, doc.ident)((combo[1:], [combo[0]]) for combo in combos)
 
 
-def _graph(args, pattern, docs, fasta) -> None:
+def _graph(args, pattern, docs) -> None:
     """Text output is ``N <layer> <endpos>`` per node, then ``E <layer>
     <endpos> <pred_layer> <pred_endpos>`` per edge, each by (layer, endpos)."""
     write = sys.stdout.write
     for doc in docs:
         graph = build_implicit_gap_graph(pattern, doc.sequence)
         if args.format == "text":
-            prefix = f"{doc.ident}:" if fasta else ""
+            prefix = "" if doc.ident is None else f"{doc.ident}:"
             for layer, end in graph.nodes():
                 write(f"{prefix}N {layer} {end}\n")
             for layer, end, pred in graph.edges():
                 write(f"{prefix}E {layer} {end} {layer - 1} {pred}\n")
             continue
-        record = {"record": doc.ident} if fasta else {}
+        record = {} if doc.ident is None else {"record": doc.ident}
         for layer, end in graph.nodes():
             write(json.dumps({"type": "node", "layer": layer, "end": end,
                               **record}) + "\n")
@@ -228,33 +220,8 @@ def _graph(args, pattern, docs, fasta) -> None:
                               **record}) + "\n")
 
 
-def _ignore(_end: int) -> None:
-    pass
-
-
-def _streamed_counts(pattern, text: bytes):
-    """``BitPlan.count``'s counts from the paper's streaming engine."""
-    from .bitvec import Counts
-    state = MatcherState(pattern)
-    process = state.process_event
-    builder = GraphBuilder(pattern) if pattern.bounded else None
-
-    def on_event(event) -> None:
-        process(event, _ignore)
-        if builder is not None:
-            builder.feed(event)
-
-    pattern.automaton.stream(text, on_event)
-    counters = state.counters
-    return Counts(counters.layer_occurrences, counters.reported,
-                  None if builder is None else count_combinations(builder.finish()),
-                  counters.peak_ranges)
-
-
-def _stats(args, pattern, docs, fasta) -> None:
-    from . import bitvec  # compiled only by the commands that may run it
-    count = (pattern.bitplan.count if bitvec.suits(pattern)
-             else partial(_streamed_counts, pattern))
+def _stats(args, pattern, docs) -> None:
+    count = _plan(pattern).count
     write = sys.stdout.write
     for doc in docs:
         counts = count(doc.sequence)
@@ -268,11 +235,11 @@ def _stats(args, pattern, docs, fasta) -> None:
             **counts._asdict(),
         }
         if args.format == "json":
-            if fasta:
+            if doc.ident is not None:
                 values["record"] = doc.ident
             write(json.dumps(values) + "\n")
             continue
-        if fasta:
+        if doc.ident is not None:
             write(f"record {doc.ident}\n")
         for key, value in values.items():
             if isinstance(value, list):
@@ -291,10 +258,10 @@ def run(argv: list[str] | None = None) -> int:
     try:
         # on POSIX, fsencode gives back the argument's bytes as passed
         pattern = parse_pattern(os.fsencode(args.pattern))
-        docs, fasta = _load_documents(args)
+        docs = _load_documents(args)
         if args.bounded_for is not None and not pattern.bounded:
             raise ValueError(f"{args.bounded_for} requires bounded gap upper bounds")
-        args.handler(args, pattern, docs, fasta)
+        args.handler(args, pattern, docs)
     except (ValueError, OSError) as exc:
         print(f"vlgmatch: {exc}", file=sys.stderr)
         return 2

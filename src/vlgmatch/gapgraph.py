@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .automaton import OccEvent
 from .pattern import GapBounds, VlgPattern
@@ -34,6 +34,8 @@ from .pattern import GapBounds, VlgPattern
 # A run ``(suffix, firsts)`` stands for the combinations ``(e1, *suffix)``
 # for ``e1`` in ``firsts``, ascending.
 Run = tuple[tuple[int, ...], list[int]]
+# every engine hands it the runs of one window, block or match, to consume
+RunSink = Callable[[Iterable[Run]], object]
 
 
 def expand(layers: list[tuple[list[int], list[int], list[int]]], base: list[int],
@@ -82,6 +84,15 @@ def count_paths(layers: list[tuple[list[int], list[int], list[int]]],
         counts = [prefix[last - at + 1] - prefix[first - at]
                   for first, last in zip(firsts, lasts)]
     return sum(counts)
+
+
+class Counts(NamedTuple):
+    """One text's ``stats`` counts; lists are per layer, ``peak_ranges`` per gap."""
+
+    layer_occurrences: list[int]
+    matches: int
+    beta: int | None
+    peak_ranges: list[int]
 
 
 def tail_span_bounds(pattern: VlgPattern) -> tuple[int, ...]:

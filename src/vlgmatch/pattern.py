@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .automaton import Automaton
-    from .bitvec import BitPlan
 
 # bytes that cannot appear unescaped inside a literal
 _ESCAPABLE = frozenset(b".\\{")
@@ -133,12 +132,6 @@ class VlgPattern:
         """Scanner for the pieces, built on first use and shared after."""
         from .automaton import build_automaton  # automaton imports this module
         return build_automaton(self.subpatterns)
-
-    @cached_property
-    def bitplan(self) -> BitPlan:
-        """Bit engine tables for the pattern, built on first use and shared after."""
-        from .bitvec import BitPlan  # bitvec imports this module
-        return BitPlan(self)
 
 
 def parse_pattern(expr: str | bytes) -> VlgPattern:

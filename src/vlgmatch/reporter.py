@@ -13,7 +13,8 @@ bounded by the window size.  ``report_on_the_fly`` (``on_the_fly_runs``)
 streams the text once and emits every combination the moment its final
 occurrence appears, pruning nodes that can no longer contribute.  Both
 give the same combinations in the same order, and both require bounded
-gaps.
+gaps.  ``StreamPlan`` puts the paper's engines behind ``bitvec.BitPlan``'s
+methods ``ends``, ``runs(text, sink)`` and ``count``.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from functools import partial
 from typing import Callable, Iterable, NamedTuple
 
 from .automaton import OccEvent
-from .gapgraph import GraphBuilder, GraphCounters, Run, count_paths, expand
+from .gapgraph import (Counts, GraphBuilder, GraphCounters, Run, RunSink,
+                       count_paths, expand)
+from .matcher import MatcherState, find_endpoints
 from .pattern import VlgPattern, ensure_bytes
 
 Combination = tuple[int, ...]
 Sink = Callable[[Combination], None]
-# takes the runs of one window or one match, and must consume them all
-RunSink = Callable[[Iterable[Run]], object]
 
 
 def _flatten(sink: Sink, runs: Iterable[Run]) -> int:
@@ -181,3 +182,38 @@ def report_on_the_fly(pattern: VlgPattern, text: bytes | str,
                       sink: Sink) -> GraphCounters:
     """``on_the_fly_runs``, one combination at a time."""
     return on_the_fly_runs(pattern, text, partial(_flatten, sink))
+
+
+class StreamPlan(NamedTuple):
+    """The paper's engines with ``bitvec.BitPlan``'s methods; ``runs`` is
+    ``chunked_runs`` for engine ``"chunked"``, else ``on_the_fly_runs``."""
+
+    pattern: VlgPattern
+    engine: str | None = None
+    chunk_len: int | None = None
+
+    def ends(self, text: bytes | str) -> list[int]:
+        return find_endpoints(self.pattern, text)
+
+    def runs(self, text: bytes | str, sink: RunSink) -> object:
+        if self.engine == "chunked":
+            return chunked_runs(self.pattern, text, sink, chunk_len=self.chunk_len)
+        return on_the_fly_runs(self.pattern, text, sink)
+
+    def count(self, text: bytes | str) -> Counts:
+        """``BitPlan.count``'s counts; β from an unpruned graph of the text."""
+        pattern = self.pattern
+        state = MatcherState(pattern)
+        process, ignore = state.process_event, deque(maxlen=0).append
+        builder = GraphBuilder(pattern) if pattern.bounded else None
+
+        def on_event(event: OccEvent) -> None:
+            process(event, ignore)
+            if builder is not None:
+                builder.feed(event)
+
+        pattern.automaton.stream(text, on_event)
+        counters = state.counters
+        return Counts(counters.layer_occurrences, counters.reported,
+                      None if builder is None else count_combinations(builder),
+                      counters.peak_ranges)

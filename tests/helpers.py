@@ -7,9 +7,11 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import vlgmatch
+from vlgmatch.bitvec import BitPlan
+from vlgmatch.gapgraph import Run
 from vlgmatch.oracle import combination_count
 from vlgmatch.pattern import GapBounds, VlgPattern
 
@@ -62,10 +64,19 @@ def run_module_cli(argv: list[str]) -> subprocess.CompletedProcess:
 
 def report_bits(pattern: VlgPattern, text: bytes,
                 sink: Callable[[tuple[int, ...]], None]) -> None:
-    """The bit engine's combinations as tuples, in the order of its runs."""
-    for suffix, firsts in pattern.bitplan.runs(text):
-        for first in firsts:
-            sink((first, *suffix))
+    """The bit engine's combinations as tuples, in the order of its runs.
+
+    ``BitPlan.runs`` calls its sink only for a block holding a match, so
+    every call must bring at least one run.
+    """
+    def flatten(runs: Iterable[Run]) -> None:
+        runs = list(runs)
+        assert runs
+        for suffix, firsts in runs:
+            for first in firsts:
+                sink((first, *suffix))
+
+    BitPlan(pattern).runs(text, flatten)
 
 
 def make_pattern(subs: list[bytes | str],

@@ -15,6 +15,7 @@ import pytest
 
 import helpers
 from vlgmatch.automaton import build_automaton
+from vlgmatch.bitvec import BitPlan
 from vlgmatch.gapgraph import (GraphBuilder, build_implicit_gap_graph,
                                max_dual_ranges, tail_span_bounds)
 from vlgmatch.matcher import MatcherState, find_endpoints, max_live_ranges
@@ -111,7 +112,7 @@ def test_criterion_05_engines_equal_oracle_on_corpus(corpus):
             chunked: list[tuple[int, ...]] = []
             report_chunked(pattern, text, chunked.append)
             assert chunked == streamed
-            assert list(pattern.bitplan.ends(text)) == expected
+            assert list(BitPlan(pattern).ends(text)) == expected
             bits: list[tuple[int, ...]] = []
             helpers.report_bits(pattern, text, bits.append)
             assert bits == streamed

@@ -9,13 +9,13 @@ from collections import deque
 from hypothesis import given, settings, strategies as st
 
 import helpers
+from vlgmatch import automaton
 from vlgmatch.bitvec import MAX_LITERAL, MIN_BLOCK, BitPlan
-from vlgmatch.gapgraph import GraphBuilder, build_implicit_gap_graph
-from vlgmatch.matcher import MatcherState
+from vlgmatch.gapgraph import build_implicit_gap_graph
 from vlgmatch.oracle import (brute_force_combinations, brute_force_endpoints,
-                             combination_count)
+                             combination_count, occurrences_by_layer)
 from vlgmatch.pattern import GapBounds, VlgPattern
-from vlgmatch.reporter import (count_combinations, expand_combinations,
+from vlgmatch.reporter import (StreamPlan, count_combinations, expand_combinations,
                                report_chunked, report_on_the_fly)
 
 ALPHABETS = [b"AC", b"ACGT", bytes(range(0x80, 0x88)), bytes(range(256))]
@@ -93,7 +93,7 @@ def _instance(seed: int) -> tuple[VlgPattern, bytes]:
 @given(st.integers(0, 2**32))
 def test_ends_equal_the_oracle(seed):
     pattern, text = _instance(seed)
-    assert list(pattern.bitplan.ends(text)) == brute_force_endpoints(pattern, text)
+    assert list(BitPlan(pattern).ends(text)) == brute_force_endpoints(pattern, text)
 
 
 @settings(max_examples=150, deadline=None)
@@ -110,23 +110,15 @@ def test_runs_equal_report_on_the_fly_in_order(seed):
 
 
 def _assert_counts_equal_streaming(pattern: VlgPattern, text: bytes) -> None:
-    """``BitPlan.count`` against ``MatcherState``, ``GraphBuilder`` and
-    ``count_combinations`` on one text, field by field."""
-    state = MatcherState(pattern)
-    graph = GraphBuilder(pattern) if pattern.bounded else None
-
-    def feed(event) -> None:
-        state.process_event(event, lambda end: None)
-        if graph is not None:
-            graph.feed(event)
-
-    pattern.automaton.stream(text, feed)
-    got = pattern.bitplan.count(text)
-    want = state.counters
+    """``BitPlan.count`` against ``StreamPlan.count``, the two engines
+    CLI ``stats`` runs, on one text, field by field; the occurrences and
+    matches also against the oracle."""
+    got = BitPlan(pattern).count(text)
+    want = StreamPlan(pattern).count(text)
     assert got.layer_occurrences == want.layer_occurrences
-    assert sum(got.layer_occurrences) == want.occurrences
-    assert got.matches == want.reported
-    assert got.beta == (None if graph is None else count_combinations(graph))
+    assert got.layer_occurrences == list(map(len, occurrences_by_layer(pattern, text)))
+    assert got.matches == want.matches == len(brute_force_endpoints(pattern, text))
+    assert got.beta == want.beta
     assert got.peak_ranges == want.peak_ranges
 
 
@@ -164,7 +156,7 @@ def test_matches_straddle_every_block_boundary():
             _plant(rng, text, pattern, boundary - back)
     text = bytes(text)
     expected = brute_force_endpoints(pattern, text)
-    assert list(pattern.bitplan.ends(text)) == expected
+    assert list(BitPlan(pattern).ends(text)) == expected
     span = pattern.max_match_span
     for boundary in range(MIN_BLOCK, len(text), MIN_BLOCK):
         assert any(boundary < end <= boundary + span for end in expected)
@@ -178,7 +170,7 @@ def test_single_piece_and_suffix_pieces():
     for pieces, gaps in ((["ACA"], []), (["CA", "ACA", "A"], [(0, 2), (0, 0)]),
                          (["A", "CA", "ACA"], [(0, 3), (1, 4)])):
         pattern = helpers.make_pattern(pieces, gaps)
-        assert list(pattern.bitplan.ends(text)) == brute_force_endpoints(pattern, text)
+        assert list(BitPlan(pattern).ends(text)) == brute_force_endpoints(pattern, text)
         assert _bits(pattern, text) == _streamed(pattern, text)
 
 
@@ -207,7 +199,7 @@ def test_every_byte_value():
                                    [(0, 0), (100, 200)])
     expected = brute_force_endpoints(pattern, text)
     assert expected
-    assert list(pattern.bitplan.ends(text)) == expected
+    assert list(BitPlan(pattern).ends(text)) == expected
     assert _bits(pattern, text) == _streamed(pattern, text)
 
 
@@ -215,24 +207,43 @@ def _dna(rng: random.Random, size: int) -> bytes:
     return rng.randbytes(size).translate(bytes(b"ACGT"[c % 4] for c in range(256)))
 
 
-def test_memory_flat_in_text_length():
-    """tracemalloc peak, text excluded, stays within a fixed budget from
-    250 kB to 2 MB; one bit per text position would be 250 kB at 2 MB."""
+def test_memory_flat_in_text_length(monkeypatch):
+    """tracemalloc peak, text excluded, of every plan's ``ends`` and of its
+    ``runs`` into a no-op sink.
+
+    The bit engine's stays within a fixed budget from 250 kB to 2 MB; one
+    bit per text position would be 250 kB at 2 MB.  The streaming plans'
+    scan holds one translated block of the text, 64 KiB, and tracemalloc
+    slows that scan about thirtyfold, so they scan 1 KiB blocks of 4 kB
+    and 16 kB texts: the peak at 16 kB stays within 2 kB of the peak at
+    4 kB, where one byte per text position would add 12 kB.
+    """
     pattern = helpers.make_pattern(["ACG", "TGC", "GG", "TTA", "CA"],
                                    [(2, 9), (0, 5), (3, 8), (1, 6)])
-    plan = pattern.bitplan
+    pattern.automaton  # built once, before any peak is traced
+    monkeypatch.setattr(automaton, "_BLOCK", 1024)
     drain = deque(maxlen=0).extend
     rng = random.Random(0)
-    peaks: dict[str, list[int]] = {"ends": [], "runs": []}
-    for size in (250_000, 2_000_000):
-        text = _dna(rng, size)
-        for name, run in (("ends", plan.ends), ("runs", plan.runs)):
-            tracemalloc.start()
-            drain(run(text))
-            peaks[name].append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
-    for name, sizes in peaks.items():
-        assert max(sizes) < 32_000, (name, sizes)
+    plans = [(BitPlan(pattern), (250_000, 2_000_000)),
+             (StreamPlan(pattern), (4_000, 16_000)),
+             (StreamPlan(pattern, "chunked"), (4_000, 16_000))]
+    for plan, sizes in plans:
+        peaks: dict[str, list[int]] = {"ends": [], "runs": []}
+        for size in sizes:
+            text = _dna(rng, size)
+            for name in peaks:
+                tracemalloc.start()
+                if name == "ends":
+                    drain(plan.ends(text))
+                else:
+                    plan.runs(text, drain)
+                peaks[name].append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+        for name, (small, large) in peaks.items():
+            if isinstance(plan, BitPlan):
+                assert max(small, large) < 32_000, (name, small, large)
+            else:
+                assert large < small + 2_000, (plan.engine, name, small, large)
 
 
 def _deep_instance(seed: int) -> tuple[VlgPattern, bytes]:
@@ -265,7 +276,7 @@ def test_hundreds_of_pieces_through_every_engine(seed):
     pattern, text = _deep_instance(seed)
     expected = brute_force_combinations(pattern, text)
     assert expected
-    assert list(pattern.bitplan.ends(text)) == brute_force_endpoints(pattern, text)
+    assert list(BitPlan(pattern).ends(text)) == brute_force_endpoints(pattern, text)
     streamed = _streamed(pattern, text)
     assert _bits(pattern, text) == streamed
     assert len(streamed) == len(expected) and set(streamed) == expected
@@ -304,7 +315,7 @@ def test_literals_of_thousands_of_bytes():
     for pattern, data, count in cases:
         assert pattern.literal_length > MAX_LITERAL
         expected = brute_force_endpoints(pattern, data)
-        assert list(pattern.bitplan.ends(data)) == expected
+        assert list(BitPlan(pattern).ends(data)) == expected
         combos = _bits(pattern, data)
         assert combos == _streamed(pattern, data)
         assert len(combos) == len(set(combos)) == count
