@@ -86,12 +86,13 @@ def inputs(into: Path) -> dict[str, tuple[str, list[str]]]:
               b"KLDAAEENCCRWMA", b"ACG" + dna(30) + b"TTG", LITERAL]
     body = b"".join(dna(rng.randint(50, 400)) + plant for plant in plants) + dna(200)
     lines = [body[i:i + 60] for i in range(0, len(body), 60)]
+    third = len(body) // 3
     files = {
         "plain.txt": body + b"\n",
         "crlf.txt": b"\r\n".join(lines) + b"\r\n",
-        "odd_ids.fa": (b'>q"uote one\n' + body[:900] + b"\n>empty\n>\n" + body[900:1800]
-                       + b"\n>back\\slash\n" + body[1800:] + b"\n>\xff\xfe\n"
-                       + lines[0] + b"\n>tail\n"),
+        "odd_ids.fa": (b'>q"uote one\n' + body[:third] + b"\n>empty\n>\n"
+                       + body[third:2 * third] + b"\n>back\\slash\n" + body[2 * third:]
+                       + b"\n>\xff\xfe\n" + lines[0] + b"\n>tail\n"),
         "data_before_header.fa": lines[0] + b"\n>r1\n" + lines[1] + b"\n",
         "empty.txt": b"",
         "random_bytes.bin": rng.randbytes(2000),
