@@ -214,9 +214,10 @@ def test_memory_flat_in_text_length(monkeypatch):
     The bit engine's stays within a fixed budget from 250 kB to 2 MB; one
     bit per text position would be 250 kB at 2 MB.  The streaming plans'
     scan holds one translated block of the text, 64 KiB, and tracemalloc
-    slows that scan about thirtyfold, so they scan 1 KiB blocks of 4 kB
-    and 16 kB texts: the peak at 16 kB stays within 2 kB of the peak at
-    4 kB, where one byte per text position would add 12 kB.
+    slows that scan about 35 times (it allocates an int per byte), so
+    they scan 1 KiB blocks of 4 kB and 16 kB texts: the peak at 16 kB
+    stays within 2 kB of the peak at 4 kB, where one byte per text
+    position would add 12 kB.
     """
     pattern = helpers.make_pattern(["ACG", "TGC", "GG", "TTA", "CA"],
                                    [(2, 9), (0, 5), (3, 8), (1, 6)])

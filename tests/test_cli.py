@@ -618,6 +618,25 @@ def test_ingest_fasta_headerless_id():
     assert docs == [InputDocument("", b"AC")]
 
 
+@pytest.mark.parametrize("command", ["match", "combos", "stats", "graph"])
+def test_empty_fasta_id_is_still_a_record(capsys, tmp_path, command):
+    """A record named by ``>`` alone keeps its empty ``:`` prefix and
+    ``"record": ""``; only plain input has no record."""
+    path = tmp_path / "r.fa"
+    path.write_bytes(b">\n" + helpers.EXAMPLE_TEXT + b"\n")
+    code, out, err = _run(capsys, [command, "-p", helpers.EXAMPLE_PATTERN, "-t", str(path)])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    if command == "stats":
+        assert lines[0] == "record "
+    else:
+        assert lines and all(line.startswith(":") for line in lines)
+    code, out, _ = _run(capsys, [command, "-p", helpers.EXAMPLE_PATTERN,
+                                 "-t", str(path), "--format", "json"])
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and rows and all(row["record"] == "" for row in rows)
+
+
 @pytest.mark.skipif(shutil.which("vlgmatch") is None,
                     reason="vlgmatch console script not installed")
 def test_console_script_entry_point(tmp_path):
