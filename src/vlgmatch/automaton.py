@@ -6,17 +6,18 @@ byte and no failure step.  Each state stands for one distinct prefix of
 the pieces; a byte leads to the state of the longest suffix of the
 prefix plus that byte which is itself a prefix.  A state emits the
 layers of every piece that is a suffix of its prefix.  Nothing is
-assumed about the alphabet beyond byte values.
+assumed about the alphabet beyond byte values.  ``scan`` hands over each
+text block's occurrences as two lists; ``stream`` turns them into events.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .pattern import ensure_bytes
 
-# text bytes translated to alphabet ranks at a time
-_BLOCK = 1 << 16
+# text bytes translated to alphabet ranks, and scanned, at a time
+_BLOCK = 1 << 12
 
 
 class OccEvent(NamedTuple):
@@ -100,28 +101,35 @@ class Automaton:
         self._limit = len(quiet) * width
         self._emits = {ids[s]: layers[s] for s in order if layers[s]}
 
-    def stream(self, text: bytes | str,
-               sink: Callable[[OccEvent], None]) -> StreamCounters:
-        """Scan ``text`` and hand every occurrence event to ``sink``.
-
-        Events arrive in strictly increasing position order; positions with
-        no occurrence produce no event.  The text is translated to alphabet
-        ranks in blocks of ``_BLOCK`` bytes, so the scan holds no full-text
-        copy.  Returns counters: positions is the text length, and
-        failure_steps is always 0 because the compiled table takes no
-        failure step.
-        """
+    def scan(self, text: bytes | str) -> Iterator[tuple[int, list[int], list[int]]]:
+        """Per ``_BLOCK`` text bytes, translated only when scanned: the block's
+        last position (1-based), and the ascending positions of its
+        occurrences with the state, a key of ``_emits``, reached at each."""
         data = ensure_bytes(text)
-        rank, goto, limit, emits = self._rank, self._goto, self._limit, self._emits
-        state = 0
-        pos = 0
-        for start in range(0, len(data), _BLOCK):
-            for c in data[start:start + _BLOCK].translate(rank):
+        rank, goto, limit, block = self._rank, self._goto, self._limit, _BLOCK
+        state = pos = 0
+        for start in range(0, len(data), block):
+            positions, states = [], []
+            at, keep = positions.append, states.append
+            for c in data[start:start + block].translate(rank):
                 pos += 1
                 state = goto[state + c]
                 if state >= limit:
-                    sink(OccEvent(pos, emits[state]))
-        return StreamCounters(pos, 0)
+                    at(pos)
+                    keep(state)
+            yield pos, positions, states
+
+    def stream(self, text: bytes | str,
+               sink: Callable[[OccEvent], None]) -> StreamCounters:
+        """Hand ``sink`` each position's occurrence event, ascending, one
+        ``scan`` block at a time.  Returns counters: positions is the text
+        length, and failure_steps is 0, as the table takes no failure step.
+        """
+        emits, stop = self._emits, 0
+        for stop, positions, states in self.scan(text):
+            for pos, state in zip(positions, states):
+                sink(OccEvent(pos, emits[state]))
+        return StreamCounters(stop, 0)
 
 
 def build_automaton(strings: Iterable[bytes | str]) -> Automaton:

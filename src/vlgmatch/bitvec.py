@@ -20,8 +20,8 @@ the piece after it), enough to reach every occurrence on a match in it.
 ``BitPlan`` has ``reporter.StreamPlan``'s methods.  ``ends`` reads the
 match ends off the last layer.  ``runs`` passes backward from a block's
 match ends, keeping only occurrences on some match ending in the block,
-links each to its predecessor run once and hands the block's runs, from
-``gapgraph.expand``, to the sink.
+links them with ``gapgraph.link``, as the chunked reporter does its
+windows, and hands the block's runs, from ``gapgraph.expand``, to the sink.
 
 ``count`` reads what ``stats`` reports off the same blocks.  A
 layer's occurrences are the set bits of its piece's AND chain before the
@@ -38,11 +38,12 @@ unbounded gap's list holds one open range from its first relevant end.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import compress
 from typing import Iterator
 
-from .gapgraph import Counts, RunSink, count_paths, expand
+from .gapgraph import (Counts, Graph, RunSink, count_paths, expand, gap_windows,
+                       link)
 from .pattern import VlgPattern, ensure_bytes
 
 # The CLI runs this engine for patterns with at most MAX_SIGMA distinct
@@ -118,6 +119,7 @@ class BitPlan:
         self._lead = max(map(len, pieces)) - 1
         self._keep = _carry(pattern)
         self._bounded = pattern.bounded
+        self._windows = gap_windows(pattern) if self._bounded else None
 
     def _forward(self, data: bytes, occurrences: list[int] | None = None
                  ) -> Iterator[tuple[int, int, list[int]]]:
@@ -225,28 +227,15 @@ class BitPlan:
                         peaks[i] = max(peaks[i], 1 + held)
         return Counts(occurrences, matches, beta if self._bounded else None, peaks)
 
-    def _graph(self, stop: int, length: int,
-               layers: list[int]) -> list[tuple[list[int], list[int], list[int]]]:
-        """The block's graph in ``gapgraph``'s format, every index absolute
-        with base 0: the occurrences on some match ending in the block,
-        each linked to its predecessor run once."""
-        gaps = self._gaps
+    def _graph(self, stop: int, length: int, layers: list[int]) -> Graph:
+        """The block's graph, from ``gapgraph.link``: the occurrences on
+        some match ending in the block, each linked to its predecessor run."""
         found = layers[-1]
         window = length + min(self._keep, stop - length)
         ends = [list(_positions(found, stop))]
-        for i in range(len(gaps) - 1, -1, -1):
-            shift, width = gaps[i]
-            # an end's predecessors lie shift to shift + width - 1 positions earlier
-            width = min(width, window)
-            found = layers[i] & _smear_later(found << (shift + width - 1), width)
+        for bits, (far, near) in zip(layers[-2::-1], self._windows[::-1]):
+            # an end's predecessors lie near to far positions earlier
+            width = min(far - near + 1, window)
+            found = bits & _smear_later(found << (near + width - 1), width)
             ends.append(list(_positions(found, stop)))
-        ends.reverse()
-        graph = [((), (), ()), (ends[0], (), ())]
-        for (shift, width), preds, here in zip(gaps, ends, ends[1:]):
-            firsts, lasts = [], []  # a loop: most blocks hold a node or two
-            for end in here:
-                at = bisect_left(preds, end - shift - width + 1)
-                firsts.append(at)
-                lasts.append(bisect_right(preds, end - shift, at) - 1)
-            graph.append((here, firsts, lasts))
-        return graph
+        return link(ends[::-1], self._windows)

@@ -14,8 +14,9 @@ occurrence is relevant iff the run is nonempty.  Two parallel lists hold
 the links as absolute indices, which count every node a layer has ever
 retained; a layer's base is the absolute index of its first retained
 node, so dropping a prefix leaves every link valid.  ``expand`` reads
-the combinations out of these lists for the reporters and for the bit
-engine (``bitvec``), which builds them per text block.
+the combinations out of these lists.  ``link`` builds them from per-layer
+end lists for the bit engine's blocks and, after ``window_graph``'s
+backward filter, for the chunked reporter's windows.
 
 Gap upper bounds must be bounded here; the decision matcher handles the
 unbounded case.
@@ -36,9 +37,11 @@ from .pattern import GapBounds, VlgPattern
 Run = tuple[tuple[int, ...], list[int]]
 # every engine hands it the runs of one window, block or match, to consume
 RunSink = Callable[[Iterable[Run]], object]
+# per layer from 1 (entry 0 unused): its nodes' ends, firsts and lasts
+Graph = list[tuple[list[int], list[int], list[int]]]
 
 
-def expand(layers: list[tuple[list[int], list[int], list[int]]], base: list[int],
+def expand(layers: Graph, base: list[int],
            frame: tuple[int, int, int, tuple] | None = None) -> Iterator[Run]:
     """Runs, depth first, of the combinations through a frame ``(layer, lo,
     hi, suffix)``: nodes ``lo..hi`` (absolute indices) of ``layer``, followed
@@ -70,8 +73,7 @@ def expand(layers: list[tuple[list[int], list[int], list[int]]], base: list[int]
             push((layer - 1, first[j], last[j], (here[j],) + suffix))
 
 
-def count_paths(layers: list[tuple[list[int], list[int], list[int]]],
-                base: list[int]) -> int:
+def count_paths(layers: Graph, base: list[int]) -> int:
     """Number of combinations ``expand`` would give, without enumerating.
 
     Path counting with prefix sums; exact (Python integers do not
@@ -84,6 +86,51 @@ def count_paths(layers: list[tuple[list[int], list[int], list[int]]],
         counts = [prefix[last - at + 1] - prefix[first - at]
                   for first, last in zip(firsts, lasts)]
     return sum(counts)
+
+
+def gap_windows(pattern: VlgPattern) -> list[tuple[int, int]]:
+    """Per layer from the second, ``(far, near)``: how far before a node's
+    end its predecessors end, farthest first.  Requires bounded gaps."""
+    return [(len(piece) + gap.upper, len(piece) + gap.lower)
+            for gap, piece in zip(pattern.gaps, pattern.subpatterns[1:])]
+
+
+def window_graph(layers: list[list[int]], finals: list[int],
+                 windows: list[tuple[int, int]]) -> Graph | None:
+    """``link``'s graph of the matches ending at ``finals``, from every
+    earlier layer's ascending ends; None if a layer has no end on one.
+    Backward, a layer keeps its ends in a kept later end's predecessor
+    window, one bisect pair per kept end."""
+    kept = [finals]
+    for ends, (far, near) in zip(reversed(layers), reversed(windows)):
+        found, top = [], 0
+        for end in kept[-1]:
+            at = bisect_left(ends, end - far, top)
+            top = bisect_right(ends, end - near, at)
+            found += ends[at:top]
+        if not found:
+            return None
+        kept.append(found)
+    return link(kept[::-1], windows)
+
+
+def link(ends: list[list[int]], windows: list[tuple[int, int]]) -> Graph:
+    """``expand``'s layers, base 0, from each layer's ascending ends: two
+    bisects link a node to its predecessor run, or drop it if it is empty."""
+    preds = ends[0]
+    graph: Graph = [((), (), ()), (preds, (), ())]
+    for here, (far, near) in zip(ends[1:], windows):
+        kept, firsts, lasts, at = [], [], [], 0
+        for end in here:
+            at = bisect_left(preds, end - far, at)
+            last = bisect_right(preds, end - near, at) - 1
+            if at <= last:
+                kept.append(end)
+                firsts.append(at)
+                lasts.append(last)
+        graph.append((kept, firsts, lasts))
+        preds = kept
+    return graph
 
 
 class Counts(NamedTuple):
@@ -153,10 +200,7 @@ class GraphBuilder:
         if not pattern.bounded:
             raise ValueError("gap graph requires bounded gap upper bounds")
         self._k = k = pattern.num_subpatterns
-        # per layer from the second, how far before a node's end its
-        # predecessors end, farthest first
-        self._window = [(len(piece) + gap.upper, len(piece) + gap.lower)
-                        for gap, piece in zip(pattern.gaps, pattern.subpatterns[1:])]
+        self._window = gap_windows(pattern)
         # per layer from 1: the retained nodes and the first one's absolute index
         self._layers = [([], [], []) for _ in range(k + 1)]
         self._base = [0] * (k + 1)

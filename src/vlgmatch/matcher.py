@@ -14,7 +14,7 @@ absorb every later merge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from .automaton import OccEvent
 from .pattern import GapBounds, VlgPattern
@@ -150,12 +150,20 @@ class MatcherState:
         if self._observer is not None:
             self._observer("after", event, self._snapshot())
 
+    def ends(self, text: bytes | str) -> Iterator[int]:
+        """Scan ``text``, yielding its match end positions, ascending, after
+        each scan block, so only one block's ends are held."""
+        automaton = self.pattern.automaton
+        emits, process, found = automaton._emits, self.process_event, []
+        for _, positions, states in automaton.scan(text):
+            for pos, state in zip(positions, states):
+                process(OccEvent(pos, emits[state]), found.append)
+            yield from found
+            found.clear()
+
     def scan(self, text: bytes | str) -> list[int]:
         """Stream ``text`` and return all match end positions, ascending."""
-        out: list[int] = []
-        self.pattern.automaton.stream(
-            text, lambda ev: self.process_event(ev, out.append))
-        return out
+        return list(self.ends(text))
 
 
 def find_endpoints(pattern: VlgPattern, text: bytes | str, *,

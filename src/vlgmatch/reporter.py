@@ -7,14 +7,15 @@ work is proportional to the output.
 
 Two drivers are provided, each a wrapper with a sink per combination
 over a core that hands ``expand``'s runs ``(suffix, firsts)`` to a run
-sink.  ``report_chunked`` (core ``chunked_runs``) scans once and builds
-one graph per overlapping text window from buffered events, so memory is
-bounded by the window size.  ``report_on_the_fly`` (``on_the_fly_runs``)
-streams the text once and emits every combination the moment its final
-occurrence appears, pruning nodes that can no longer contribute.  Both
-give the same combinations in the same order, and both require bounded
-gaps.  ``StreamPlan`` puts the paper's engines behind ``bitvec.BitPlan``'s
-methods ``ends``, ``runs(text, sink)`` and ``count``.
+sink.  ``report_chunked`` (core ``chunked_runs``) scans once into
+per-layer end lists and builds one graph per overlapping text window
+from them, so memory is bounded by the window size.
+``report_on_the_fly`` (``on_the_fly_runs``) streams the text once and
+emits every combination the moment its final occurrence appears, pruning
+nodes that can no longer contribute.  Both give the same combinations in
+the same order, and both require bounded gaps.  ``StreamPlan`` puts the
+paper's engines behind ``bitvec.BitPlan``'s methods ``ends``,
+``runs(text, sink)`` and ``count``.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .automaton import OccEvent
 from .gapgraph import (Counts, GraphBuilder, GraphCounters, Run, RunSink,
-                       count_paths, expand)
-from .matcher import MatcherState, find_endpoints
+                       count_paths, expand, gap_windows, window_graph)
+from .matcher import MatcherState
 from .pattern import VlgPattern, ensure_bytes
 
 Combination = tuple[int, ...]
@@ -98,11 +99,11 @@ def chunked_runs(pattern: VlgPattern, text: bytes | str, sink: RunSink, *,
     A window claims the matches whose last end falls in its trailing
     stride positions (the first window's claim starts at position 1), so
     the claims partition the text and a claimed match fits in its window.
-    One scan buffers the last window length of events.  Once it passes the
-    end of a window whose claim holds a final-layer occurrence, they are
-    replayed into a fresh graph at text positions, whose claimed final
-    nodes are expanded in ascending order before it is dropped: the runs
-    come in ``on_the_fly_runs``' order, one window graph alive at most.
+    The scan appends each block's occurrences to one end list per layer.
+    Once it passes the end of a window whose claim holds final-layer ends,
+    ``window_graph`` builds their matches' graph from the lists, and the
+    lists keep only what a later claim can reach.  The runs come in
+    ``on_the_fly_runs``' order, one window graph alive at most.
     """
     data = ensure_bytes(text)
     span = pattern.max_match_span
@@ -110,42 +111,31 @@ def chunked_runs(pattern: VlgPattern, text: bytes | str, sink: RunSink, *,
         raise ValueError("combination reporting requires bounded gaps")
     length, stride, count = plan_chunks(span, len(data), chunk_len)
     counters = ChunkCounters(chunks=count)
-    k = pattern.num_subpatterns
-    events: deque[OccEvent] = deque()  # the marked window's, else the latest window's
-    end = 0  # end of the window claiming a buffered final occurrence, or 0
-
-    def counted(run: Run) -> Run:
-        counters.emitted += len(run[1])
-        return run
-
-    def close() -> None:
-        graph = GraphBuilder(pattern)
-        counters.peak_graphs = 1
-        for event in events:
-            graph.feed(event)
-        finals = graph.layer(k)
-        # an unpruned graph's indices are absolute: every base is 0
-        lo = bisect_right(finals, end - stride) if end > length else 0
-        if lo < len(finals):  # a final occurrence may have no predecessor
-            frame = (k, lo, len(finals) - 1, ())
-            sink(map(counted, expand(graph._layers, graph._base, frame)))
-
-    def on_event(event: OccEvent) -> None:
-        nonlocal end
-        pos = event.position
-        if end and pos > end:
-            close()
-            end = 0
-        events.append(event)
-        if not end and event.layers[-1] == k:
-            # the window claiming pos, as in plan_chunks' count
-            end = length + max(0, -((length - pos) // stride) * stride)
-        while events[0].position <= (end or pos) - length:
-            events.popleft()
-
-    pattern.automaton.stream(data, on_event)
-    if end:
-        close()
+    *layers, finals = lists = [[] for _ in range(pattern.num_subpatterns)]
+    # per emitting state, the appends of its layers' lists
+    table = {state: tuple(lists[layer - 1].append for layer in emitted)
+             for state, emitted in pattern.automaton._emits.items()}
+    windows, base = gap_windows(pattern), [0] * (len(lists) + 1)
+    for stop, positions, states in pattern.automaton.scan(data):
+        for pos, state in zip(positions, states):
+            for append in table[state]:
+                append(pos)
+        while finals:
+            # the window claiming the earliest final, as in plan_chunks' count
+            end = length + max(0, -((length - finals[0]) // stride) * stride)
+            if min(end, len(data)) > stop:
+                break
+            claim = bisect_right(finals, end)
+            graph = window_graph(layers, finals[:claim], windows)
+            del finals[:claim]
+            counters.peak_graphs = 1
+            if graph and graph[-1][0]:
+                counters.emitted += count_paths(graph, base)
+                sink(expand(graph, base))
+            del graph  # before the next window's is built
+        cut = (finals[0] if finals else stop + 1) - span
+        for ends in layers:
+            del ends[:bisect_right(ends, cut)]
     return counters
 
 
@@ -192,8 +182,8 @@ class StreamPlan(NamedTuple):
     engine: str | None = None
     chunk_len: int | None = None
 
-    def ends(self, text: bytes | str) -> list[int]:
-        return find_endpoints(self.pattern, text)
+    def ends(self, text: bytes | str) -> Iterator[int]:
+        return MatcherState(self.pattern).ends(text)
 
     def runs(self, text: bytes | str, sink: RunSink) -> object:
         if self.engine == "chunked":

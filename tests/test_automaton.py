@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from vlgmatch.automaton import _BLOCK, build_automaton
+from vlgmatch import automaton
+from vlgmatch.automaton import _BLOCK, OccEvent, build_automaton
 from vlgmatch.oracle import naive_occurrences
 
 # piece bytes straddle 0x80; text bytes add ones that are in no piece
@@ -211,6 +212,37 @@ def test_stream_across_translate_blocks():
     expected = _assert_stream_equals_naive(strings, bytes(text))
     assert {(1, _BLOCK + 4), (2, _BLOCK + 2),
             (3, 2 * _BLOCK + 1), (4, 2 * _BLOCK + 1)} <= set(expected)
+
+
+@pytest.mark.parametrize("block", [1, 7, _BLOCK])
+def test_scan_blocks_give_the_stream_events(monkeypatch, block):
+    """``scan``'s blocks tile the text, and their positions and states,
+    mapped through ``_emits``, are exactly ``stream``'s events, which equal
+    the naive scan's; planted pieces straddle block boundaries."""
+    rng = random.Random(12)
+    strings = [b"ACGTTGCA", b"GTTG", b"\x80\xffA", b"A"]
+    text = bytearray(rng.choice(_TEXT_BYTES) for _ in range(2 * _BLOCK + 100))
+    text[_BLOCK - 4:_BLOCK + 4] = b"ACGTTGCA"
+    text[2 * _BLOCK - 2:2 * _BLOCK + 1] = b"\x80\xffA"
+    text = bytes(text)
+    monkeypatch.setattr(automaton, "_BLOCK", block)
+    auto = build_automaton(strings)
+    expected = _assert_stream_equals_naive(strings, text)
+    assert any(end - len(strings[layer - 1]) < stop < end
+               for layer, end in expected
+               for stop in range(block, len(text), block))
+    stream: list[OccEvent] = []
+    auto.stream(text, stream.append)
+    stops, events = [], []
+    for stop, positions, states in auto.scan(text):
+        assert all(stop - block < pos <= stop for pos in positions)
+        assert len(positions) == len(states)
+        stops.append(stop)
+        events += [OccEvent(pos, auto._emits[state])
+                   for pos, state in zip(positions, states)]
+    assert stops == [min(start + block, len(text))
+                     for start in range(0, len(text), block)]
+    assert events == stream
 
 
 @settings(max_examples=100, deadline=None)

@@ -213,11 +213,13 @@ def test_memory_flat_in_text_length(monkeypatch):
 
     The bit engine's stays within a fixed budget from 250 kB to 2 MB; one
     bit per text position would be 250 kB at 2 MB.  The streaming plans'
-    scan holds one translated block of the text, 64 KiB, and tracemalloc
+    scan holds one translated block of the text, 4 KiB, and tracemalloc
     slows that scan about 35 times (it allocates an int per byte), so
     they scan 1 KiB blocks of 4 kB and 16 kB texts: the peak at 16 kB
     stays within 2 kB of the peak at 4 kB, where one byte per text
-    position would add 12 kB.
+    position would add 12 kB.  So does ``StreamPlan.ends`` on a literal
+    the bit engine refuses, 101 bytes of ``A``, in text of ``A`` where
+    nearly every position ends a match.
     """
     pattern = helpers.make_pattern(["ACG", "TGC", "GG", "TTA", "CA"],
                                    [(2, 9), (0, 5), (3, 8), (1, 6)])
@@ -245,6 +247,16 @@ def test_memory_flat_in_text_length(monkeypatch):
                 assert max(small, large) < 32_000, (name, small, large)
             else:
                 assert large < small + 2_000, (plan.engine, name, small, large)
+    many = StreamPlan(helpers.make_pattern(["A" * (MAX_LITERAL + 1)], []))
+    many.pattern.automaton
+    peaks = []
+    for size in (4_000, 16_000):
+        text = b"A" * size
+        tracemalloc.start()
+        drain(many.ends(text))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2_000, peaks
 
 
 def _deep_instance(seed: int) -> tuple[VlgPattern, bytes]:

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from vlgmatch import reporter
-from vlgmatch.gapgraph import GraphBuilder, build_implicit_gap_graph, tail_span_bounds
+from vlgmatch import automaton, reporter
+from vlgmatch.gapgraph import (GraphBuilder, build_implicit_gap_graph, tail_span_bounds,
+                               window_graph)
 from vlgmatch.oracle import brute_force_combinations, combination_count
 from vlgmatch.pattern import parse_pattern
 from vlgmatch.reporter import (count_combinations, expand_combinations,
@@ -169,26 +170,31 @@ def test_chunked_match_visible_in_two_windows_emitted_once():
     assert combos == [(6, 7)]
 
 
-def _record_builders(monkeypatch):
-    """Swap ``reporter.GraphBuilder`` for a subclass that records, per
-    builder made, the positions fed to it, a weak reference to it, and how
-    many recorded builders are alive (after a collection) when it is made."""
-    record = SimpleNamespace(fed=[], refs=[], alive=[])
+def _record_graphs(monkeypatch):
+    """Wrap ``reporter.window_graph`` to record, per call, the claimed final
+    ends, a copy of every earlier layer's end list and the node ends of the
+    graph returned (None if none).  Each graph returned is a weakly
+    referenced list, and ``alive`` gains how many are alive (after a
+    collection) when it is made."""
+    record = SimpleNamespace(finals=[], layers=[], nodes=[], refs=[], alive=[])
 
-    class Recording(GraphBuilder):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.fed = []
-            record.fed.append(self.fed)
-            record.refs.append(weakref.ref(self))
-            gc.collect()
-            record.alive.append(sum(ref() is not None for ref in record.refs))
+    class Graph(list):
+        pass
 
-        def feed(self, event):
-            self.fed.append(event.position)
-            super().feed(event)
+    def recording(layers, finals, windows):
+        record.finals.append(list(finals))
+        record.layers.append([list(ends) for ends in layers])
+        graph = window_graph(layers, finals, windows)
+        record.nodes.append(graph and [list(layer[0]) for layer in graph[1:]])
+        if graph is None:
+            return None
+        graph = Graph(graph)
+        record.refs.append(weakref.ref(graph))
+        gc.collect()
+        record.alive.append(sum(ref() is not None for ref in record.refs))
+        return graph
 
-    monkeypatch.setattr(reporter, "GraphBuilder", Recording)
+    monkeypatch.setattr(reporter, "window_graph", recording)
     return record
 
 
@@ -208,7 +214,7 @@ def test_chunked_counters_and_retention():
 
 def test_chunked_keeps_one_window_graph_alive(monkeypatch):
     """Weak references to every window graph, counted as each is made."""
-    record = _record_builders(monkeypatch)
+    record = _record_graphs(monkeypatch)
     pattern = parse_pattern(helpers.COMBO_PATTERN)
     counters = report_chunked(pattern, helpers.EXAMPLE_TEXT, lambda combo: None,
                               chunk_len=pattern.max_match_span)
@@ -218,29 +224,46 @@ def test_chunked_keeps_one_window_graph_alive(monkeypatch):
     assert all(ref() is None for ref in record.refs)
 
 
-def _claiming_windows(pattern, text, chunk_len):
-    """Per window whose claim holds a final-layer occurrence, in order:
-    the positions of its events, from an independent scan."""
+def _claims(pattern, text, chunk_len):
+    """Per window whose claim holds a final-layer occurrence, in order: the
+    final ends it claims, from an independent scan."""
     plan = plan_chunks(pattern.max_match_span, len(text), chunk_len)
     events = []
     pattern.automaton.stream(text, events.append)
     finals = [e.position for e in events if pattern.num_subpatterns in e.layers]
-    windows = []
+    claims = []
     for index in range(plan.count):
         offset = index * plan.stride
         claim_lo = offset + plan.length - plan.stride + 1 if index else 1
-        if any(claim_lo <= end <= offset + plan.length for end in finals):
-            windows.append([e.position for e in events
-                            if offset < e.position <= offset + plan.length])
-    return windows
+        claim = [end for end in finals if claim_lo <= end <= offset + plan.length]
+        if claim:
+            claims.append(claim)
+    return claims
+
+
+def _assert_claims_recorded(record, pattern, text, chunk_len):
+    """One ``window_graph`` call per claim holding a final occurrence, with
+    that claim's finals, and every earlier layer's list holding each
+    occurrence of that layer a claimed match can reach."""
+    claims = _claims(pattern, text, chunk_len)
+    assert record.finals == claims, chunk_len
+    span = pattern.max_match_span
+    events = []
+    pattern.automaton.stream(text, events.append)
+    for finals, layers in zip(record.finals, record.layers):
+        reach = range(finals[0] - span + 1, finals[-1] + 1)
+        for layer, ends in enumerate(layers, start=1):
+            wanted = [e.position for e in events
+                      if layer in e.layers and e.position in reach]
+            assert [end for end in ends if end in reach] == wanted, chunk_len
 
 
 @pytest.mark.parametrize("minimal", [True, False], ids=["stride-1", "2-span"])
 def test_chunked_piece_straddling_the_window_offset(monkeypatch, minimal):
     """A seven-byte piece starts before the offset of the window that claims
     the match after it and ends inside it, with a compatible second piece:
-    both are replayed into that window's graph, and no claimed match
-    reaches them."""
+    both reach that window's graph builder, at one-byte scan blocks too,
+    and no claimed match reaches them."""
     pattern = parse_pattern("GATTACA.{0,3}CC.{0,2}T")  # span 15
     span = pattern.max_match_span
     chunk_len = span if minimal else 2 * span
@@ -252,36 +275,47 @@ def test_chunked_piece_straddling_the_window_offset(monkeypatch, minimal):
     straddler = lead + 7  # the first GATTACA ends here and starts at lead + 1
     assert lead + 1 <= offset < straddler
     expected = _collect(report_on_the_fly, pattern, text)
-    record = _record_builders(monkeypatch)
-    got = _collect(report_chunked, pattern, text, chunk_len=chunk_len)
-    assert got == expected
-    assert (lead + 16, lead + 18, lead + 19) in got
-    assert any(straddler in fed and lead + 9 in fed and e in fed
-               for fed in record.fed)
-    assert record.fed == _claiming_windows(pattern, text, chunk_len)
+    for block in (1, 7, automaton._BLOCK):
+        monkeypatch.setattr(automaton, "_BLOCK", block)
+        record = _record_graphs(monkeypatch)
+        got = _collect(report_chunked, pattern, text, chunk_len=chunk_len)
+        assert got == expected
+        assert (lead + 16, lead + 18, lead + 19) in got
+        _assert_claims_recorded(record, pattern, text, chunk_len)
+        call = next(i for i, finals in enumerate(record.finals) if e in finals)
+        first, second = record.layers[call]
+        assert straddler in first and lead + 9 in second, block
+        nodes = record.nodes[call]
+        assert straddler not in nodes[0] and lead + 9 not in nodes[1]
+        assert e in nodes[2]
 
 
 def test_chunked_builds_only_windows_claiming_a_final_occurrence(monkeypatch):
     """Sparse text: a rare final piece, three planted matches and a final
     piece with no predecessor; most windows claim nothing and build
-    nothing, and each graph built replays exactly its window's events."""
+    nothing, and each graph is built from its claim's final ends and
+    keeps those that end a match."""
     pattern = parse_pattern("AC.{0,4}GGATCC")  # span 12
     text = bytearray(_random_dna(5, 4000))
     for end in (700, 2101, 3999):
         text[end - 10:end] = b"ACTTGGATCC"
-    text[1500:1506] = b"GGATCC"  # preceded by no AC within the gap
+    text[1494:1506] = b"TTTTTTGGATCC"  # preceded by no AC within the gap
     text = bytes(text)
     expected = _collect(report_on_the_fly, pattern, text)
     assert len(expected) >= 3
     span = pattern.max_match_span
     for chunk_len in (span, span + 1, 2 * span + 3, None):
-        record = _record_builders(monkeypatch)
+        record = _record_graphs(monkeypatch)
         got: list[tuple[int, ...]] = []
         counters = report_chunked(pattern, text, got.append, chunk_len=chunk_len)
         assert got == expected, chunk_len
-        windows = _claiming_windows(pattern, text, chunk_len)
-        assert record.fed == windows, chunk_len
-        assert 4 <= len(windows) < counters.chunks // 20
+        _assert_claims_recorded(record, pattern, text, chunk_len)
+        assert 4 <= len(record.finals) < counters.chunks // 20
+        for finals, nodes in zip(record.finals, record.nodes):
+            ending = sorted({combo[-1] for combo in got if combo[-1] in finals})
+            assert (nodes[-1] if nodes else []) == ending, chunk_len
+        lone = next(i for i, finals in enumerate(record.finals) if 1506 in finals)
+        assert record.nodes[lone] is None, chunk_len
         assert counters.peak_graphs == 1
 
 
@@ -314,6 +348,24 @@ def test_chunked_events_carrying_the_final_and_lower_layers(expr, alphabet):
     span = pattern.max_match_span
     for chunk_len in (span, span + 1, 2 * span, 2 * span + 3):
         assert _collect(report_chunked, pattern, text, chunk_len=chunk_len) == expected
+
+
+def test_chunked_equals_on_the_fly_across_chunk_lengths_and_scan_blocks(monkeypatch):
+    """Seeded random instances: chunked output equals on-the-fly output as a
+    list, order included, for every chunk length and scan block size."""
+    rng = random.Random(21)
+    matched = 0
+    for _ in range(200):
+        pattern, text = helpers.random_instance(rng, max_text=200)
+        expected = _collect(report_on_the_fly, pattern, text)
+        matched += bool(expected)
+        span = pattern.max_match_span
+        for block in (1, 7, 64, automaton._BLOCK):
+            monkeypatch.setattr(automaton, "_BLOCK", block)
+            for chunk_len in (span, span + 1, 2 * span + 3, None):
+                got = _collect(report_chunked, pattern, text, chunk_len=chunk_len)
+                assert got == expected, (pattern, text, block, chunk_len)
+    assert matched >= 80
 
 
 def test_chunk_length_sweep_reports_each_combination_once():
