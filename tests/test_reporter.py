@@ -262,8 +262,9 @@ def _assert_claims_recorded(record, pattern, text, chunk_len):
 def test_chunked_piece_straddling_the_window_offset(monkeypatch, minimal):
     """A seven-byte piece starts before the offset of the window that claims
     the match after it and ends inside it, with a compatible second piece:
-    both reach that window's graph builder, at one-byte scan blocks too,
-    and no claimed match reaches them."""
+    both are in the end lists that window's ``window_graph`` call gets, at
+    one-byte scan blocks too, and its graph, of the claimed match, holds
+    neither."""
     pattern = parse_pattern("GATTACA.{0,3}CC.{0,2}T")  # span 15
     span = pattern.max_match_span
     chunk_len = span if minimal else 2 * span
