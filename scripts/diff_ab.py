@@ -14,10 +14,10 @@ calls ``vlgmatch.cli.run`` in-process for every cell and records its exit
 status, stdout and stderr.
 
 The grid crosses every command (``match``, ``combos`` with no engine,
-``--engine onthefly``, ``--engine chunked`` and ``--engine chunked
---chunk-len``, ``stats``, ``graph``, ``oracle match``, ``oracle combos``),
-each in text and JSON, with patterns at and past the engine-choice limits
-and inputs with awkward shapes (see ``PATTERNS`` and ``inputs``).  The
+``--engine onthefly`` and ``--engine chunked``, ``stats``, ``graph``,
+``oracle match``, ``oracle combos``), each in text and JSON, with
+patterns at and past the engine-choice limits and inputs with awkward
+shapes (see ``PATTERNS`` and ``inputs``).  The
 script prints every cell whose status, stdout or stderr differ, one
 SHA-256 per side over all cells, and exits 1 on any difference.
 """
@@ -37,10 +37,8 @@ from pathlib import Path
 from bench_ab import extract, git
 
 SEED = 22
-CHUNK_LEN = "40"
 COMMANDS = (["match"], ["combos"], ["combos", "--engine", "onthefly"],
             ["combos", "--engine", "chunked"],
-            ["combos", "--engine", "chunked", "--chunk-len", CHUNK_LEN],
             ["stats"], ["graph"], ["oracle", "match"], ["oracle", "combos"])
 LITERAL = bytes(random.Random(SEED).choices(b"ACGT", k=101))
 PATTERNS = {

@@ -16,9 +16,8 @@ line; plain input is the whole file minus one trailing newline.
 
 Exit status 0 on success (matching nothing is success), 2 on usage errors:
 unparseable pattern, unreadable input, unbounded gaps passed to a
-combination or graph command, a chunk length too small or given without
-``--engine chunked``.  Where the platform has
-SIGPIPE, a closed stdout pipe ends the process silently by that signal.
+combination or graph command.  Where the platform has SIGPIPE, a closed
+stdout pipe ends the process silently by that signal.
 """
 
 from __future__ import annotations
@@ -99,9 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="force one of the paper's engines (default: the "
                                "bit-parallel engine for patterns with few "
                                "distinct bytes and short pieces, else onthefly)")
-    p_combos.add_argument("--chunk-len", type=int, default=None,
-                          help="chunk length for the chunked engine "
-                               "(test hook; must cover the maximum match span)")
     command(sub, "graph", _graph, "dump the predecessor graph", "the predecessor graph")
     command(sub, "stats", _stats, "print pattern/text/run statistics")
 
@@ -158,16 +154,14 @@ def _run_writer(args, ident: str | None) -> RunSink:
     return write_runs
 
 
-def _plan(pattern, engine: str | None = None, chunk_len: int | None = None):
+def _plan(pattern, engine: str | None = None):
     """The engine a command runs, a ``BitPlan`` or a ``StreamPlan``: the
     bit engine when ``bitvec.suits`` the pattern and no engine is named."""
-    if chunk_len is not None and engine != "chunked":
-        raise ValueError("--chunk-len applies only to --engine chunked")
     if engine is None:
         from . import bitvec  # compiled only by the commands that may run it
         if bitvec.suits(pattern):
             return bitvec.BitPlan(pattern)
-    return StreamPlan(pattern, engine, chunk_len)
+    return StreamPlan(pattern, engine)
 
 
 def _match(args, pattern, docs) -> None:
@@ -183,7 +177,7 @@ def _oracle_match(args, pattern, docs) -> None:
 
 
 def _combos(args, pattern, docs) -> None:
-    runs = _plan(pattern, args.engine, args.chunk_len).runs
+    runs = _plan(pattern, args.engine).runs
     for doc in docs:
         runs(doc.sequence, _run_writer(args, doc.ident))
 

@@ -15,7 +15,7 @@ emits every combination the moment its final occurrence appears, pruning
 nodes that can no longer contribute.  Both give the same combinations in
 the same order, and both require bounded gaps.  ``StreamPlan`` puts the
 paper's engines behind ``bitvec.BitPlan``'s methods ``ends``,
-``runs(text, sink)`` and ``count``.
+``runs(text, sink)`` and ``count``, which sums β over the chunked windows.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .automaton import OccEvent
-from .gapgraph import (Counts, GraphBuilder, GraphCounters, Run, RunSink,
+from .gapgraph import (Counts, Graph, GraphBuilder, GraphCounters, Run, RunSink,
                        count_paths, expand, gap_windows, window_graph)
 from .matcher import MatcherState
 from .pattern import VlgPattern, ensure_bytes
@@ -92,50 +92,53 @@ class ChunkCounters:
     emitted: int = 0
 
 
-def chunked_runs(pattern: VlgPattern, text: bytes | str, sink: RunSink, *,
-                 chunk_len: int | None = None) -> ChunkCounters:
-    """Hand ``sink`` each window's claimed runs, in text positions.
-
-    A window claims the matches whose last end falls in its trailing
-    stride positions (the first window's claim starts at position 1), so
-    the claims partition the text and a claimed match fits in its window.
-    The scan appends each block's occurrences to one end list per layer.
-    Once it passes the end of a window whose claim holds final-layer ends,
-    ``window_graph`` builds their matches' graph from the lists, and the
-    lists keep only what a later claim can reach.  The runs come in
-    ``on_the_fly_runs``' order, one window graph alive at most.
-    """
-    data = ensure_bytes(text)
-    span = pattern.max_match_span
-    if span is None:
-        raise ValueError("combination reporting requires bounded gaps")
-    length, stride, count = plan_chunks(span, len(data), chunk_len)
-    counters = ChunkCounters(chunks=count)
+def _window_graphs(pattern: VlgPattern, blocks: Iterable[tuple[int, list, list]],
+                   text_len: int, chunk_len: int | None = None) -> Iterator[Graph | None]:
+    """``window_graph`` of each window whose claim holds final-layer ends,
+    in text order, from the text's ``Automaton.scan`` blocks.  A window
+    claims the matches whose last end falls in its trailing stride (the
+    first's claim starts at position 1), so the claims partition the text
+    and a claimed match fits in its window.  Each layer's end list keeps
+    only what a later claim can reach."""
+    span, windows = pattern.max_match_span, gap_windows(pattern)
+    length, stride, _ = plan_chunks(span, text_len, chunk_len)
     *layers, finals = lists = [[] for _ in range(pattern.num_subpatterns)]
     # per emitting state, the appends of its layers' lists
     table = {state: tuple(lists[layer - 1].append for layer in emitted)
              for state, emitted in pattern.automaton._emits.items()}
-    windows, base = gap_windows(pattern), [0] * (len(lists) + 1)
-    for stop, positions, states in pattern.automaton.scan(data):
+    for stop, positions, states in blocks:
         for pos, state in zip(positions, states):
             for append in table[state]:
                 append(pos)
         while finals:
             # the window claiming the earliest final, as in plan_chunks' count
             end = length + max(0, -((length - finals[0]) // stride) * stride)
-            if min(end, len(data)) > stop:
+            if min(end, text_len) > stop:
                 break
             claim = bisect_right(finals, end)
             graph = window_graph(layers, finals[:claim], windows)
             del finals[:claim]
-            counters.peak_graphs = 1
-            if graph and graph[-1][0]:
-                counters.emitted += count_paths(graph, base)
-                sink(expand(graph, base))
+            yield graph
             del graph  # before the next window's is built
         cut = (finals[0] if finals else stop + 1) - span
         for ends in layers:
             del ends[:bisect_right(ends, cut)]
+
+
+def chunked_runs(pattern: VlgPattern, text: bytes | str, sink: RunSink, *,
+                 chunk_len: int | None = None) -> ChunkCounters:
+    """Hand ``sink`` each claiming window's runs, in ``on_the_fly_runs``' order."""
+    data = ensure_bytes(text)
+    if not pattern.bounded:
+        raise ValueError("combination reporting requires bounded gaps")
+    plan = plan_chunks(pattern.max_match_span, len(data), chunk_len)
+    counters, scan = ChunkCounters(plan.count), pattern.automaton.scan(data)
+    for graph in _window_graphs(pattern, scan, len(data), chunk_len):
+        counters.peak_graphs = 1
+        if graph and graph[-1][0]:
+            counters.emitted += count_paths(graph, [0] * len(graph))
+            sink(expand(graph, [0] * len(graph)))
+        del graph  # before the next window's is built
     return counters
 
 
@@ -180,30 +183,32 @@ class StreamPlan(NamedTuple):
 
     pattern: VlgPattern
     engine: str | None = None
-    chunk_len: int | None = None
 
     def ends(self, text: bytes | str) -> Iterator[int]:
         return MatcherState(self.pattern).ends(text)
 
     def runs(self, text: bytes | str, sink: RunSink) -> object:
         if self.engine == "chunked":
-            return chunked_runs(self.pattern, text, sink, chunk_len=self.chunk_len)
+            return chunked_runs(self.pattern, text, sink)
         return on_the_fly_runs(self.pattern, text, sink)
 
     def count(self, text: bytes | str) -> Counts:
-        """``BitPlan.count``'s counts; β from an unpruned graph of the text."""
-        pattern = self.pattern
-        state = MatcherState(pattern)
+        """``BitPlan.count``'s counts: one scan feeds the matcher, then the windows."""
+        pattern, data = self.pattern, ensure_bytes(text)
+        state, emits = MatcherState(pattern), pattern.automaton._emits
         process, ignore = state.process_event, deque(maxlen=0).append
-        builder = GraphBuilder(pattern) if pattern.bounded else None
 
-        def on_event(event: OccEvent) -> None:
-            process(event, ignore)
-            if builder is not None:
-                builder.feed(event)
+        def matched(blocks):
+            for stop, positions, states in blocks:
+                for pos, at in zip(positions, states):
+                    process(OccEvent(pos, emits[at]), ignore)
+                yield stop, positions, states
 
-        pattern.automaton.stream(text, on_event)
+        blocks, beta = matched(pattern.automaton.scan(data)), None
+        if pattern.bounded:
+            graphs = _window_graphs(pattern, blocks, len(data))
+            beta = sum(count_paths(graph, [0] * len(graph)) for graph in graphs if graph)
+        deque(blocks, maxlen=0)  # an unbounded pattern's scan, for the matcher alone
         counters = state.counters
-        return Counts(counters.layer_occurrences, counters.reported,
-                      None if builder is None else count_combinations(builder),
+        return Counts(counters.layer_occurrences, counters.reported, beta,
                       counters.peak_ranges)

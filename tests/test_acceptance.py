@@ -218,14 +218,11 @@ def test_criterion_10_minimal_chunks_emit_each_combination_once(corpus, tmp_path
         # test_cli checks the installed console script itself.
         path = tmp_path / "text.txt"
         path.write_bytes(helpers.EXAMPLE_TEXT)
-        span = parse_pattern(helpers.COMBO_PATTERN).max_match_span
         outputs = {}
         for engine in ("onthefly", "chunked"):
-            argv = ["combos", "--engine", engine,
-                    "-p", helpers.COMBO_PATTERN, "-t", str(path)]
-            if engine == "chunked":
-                argv += ["--chunk-len", str(span)]
-            result = helpers.run_module_cli(argv)
+            result = helpers.run_module_cli([
+                "combos", "--engine", engine, "-p", helpers.COMBO_PATTERN,
+                "-t", str(path)])
             assert result.returncode == 0
             lines = result.stdout.splitlines()
             assert len(lines) == len(set(lines))

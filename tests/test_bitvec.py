@@ -208,8 +208,8 @@ def _dna(rng: random.Random, size: int) -> bytes:
 
 
 def test_memory_flat_in_text_length(monkeypatch):
-    """tracemalloc peak, text excluded, of every plan's ``ends`` and of its
-    ``runs`` into a no-op sink.
+    """tracemalloc peak, text excluded, of every plan's ``ends``, of its
+    ``runs`` into a no-op sink and of its ``count``.
 
     The bit engine's stays within a fixed budget from 250 kB to 2 MB; one
     bit per text position would be 250 kB at 2 MB.  The streaming plans'
@@ -231,15 +231,17 @@ def test_memory_flat_in_text_length(monkeypatch):
              (StreamPlan(pattern), (4_000, 16_000)),
              (StreamPlan(pattern, "chunked"), (4_000, 16_000))]
     for plan, sizes in plans:
-        peaks: dict[str, list[int]] = {"ends": [], "runs": []}
+        peaks: dict[str, list[int]] = {"ends": [], "runs": [], "count": []}
         for size in sizes:
             text = _dna(rng, size)
             for name in peaks:
                 tracemalloc.start()
                 if name == "ends":
                     drain(plan.ends(text))
-                else:
+                elif name == "runs":
                     plan.runs(text, drain)
+                else:
+                    plan.count(text)
                 peaks[name].append(tracemalloc.get_traced_memory()[1])
                 tracemalloc.stop()
         for name, (small, large) in peaks.items():

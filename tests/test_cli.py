@@ -112,7 +112,6 @@ def test_combos_both_engines_agree_with_oracle(capsys, example_file, tmp_path):
                 ("default", ["combos"]),
                 ("onthefly", ["combos", "--engine", "onthefly"]),
                 ("chunked", ["combos", "--engine", "chunked"]),
-                ("chunked-min", ["combos", "--engine", "chunked", "--chunk-len", "21"]),
                 ("oracle", ["oracle", "combos"]),
             ):
                 code, out, err = _run(capsys, argv + [
@@ -267,24 +266,6 @@ def test_unbounded_gaps_rejected_for_combos_and_graph(capsys, example_file, tmp_
             *argv, "-p", "A.{2,*}GT", "-t", str(empty), "--fasta"])
         assert (code, out) == (2, ""), argv
         assert err == f"vlgmatch: {what} requires bounded gap upper bounds\n"
-
-
-def test_chunk_len_too_small_exits_2(capsys, example_file):
-    code, _, err = _run(capsys, [
-        "combos", "-p", helpers.COMBO_PATTERN, "-t", example_file,
-        "--engine", "chunked", "--chunk-len", "3"])
-    assert code == 2
-    assert "shorter than the match span bound" in err
-
-
-@pytest.mark.parametrize("engine", [[], ["--engine", "onthefly"]],
-                         ids=["default", "onthefly"])
-def test_chunk_len_without_the_chunked_engine_exits_2(capsys, example_file, engine):
-    code, out, err = _run(capsys, [
-        "combos", "-p", helpers.COMBO_PATTERN, "-t", example_file, *engine,
-        "--chunk-len", "1"])
-    assert (code, out) == (2, "")
-    assert err == "vlgmatch: --chunk-len applies only to --engine chunked\n"
 
 
 def test_usage_errors_exit_2(capsys):

@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from vlgmatch import automaton, reporter
+from vlgmatch import automaton, bitvec, reporter
 from vlgmatch.gapgraph import (GraphBuilder, build_implicit_gap_graph, tail_span_bounds,
                                window_graph)
-from vlgmatch.oracle import brute_force_combinations, combination_count
-from vlgmatch.pattern import parse_pattern
-from vlgmatch.reporter import (count_combinations, expand_combinations,
+from vlgmatch.oracle import (brute_force_combinations, brute_force_endpoints,
+                             combination_count, occurrences_by_layer)
+from vlgmatch.pattern import GapBounds, VlgPattern, parse_pattern
+from vlgmatch.reporter import (StreamPlan, count_combinations, expand_combinations,
                                plan_chunks, report_chunked, report_on_the_fly)
 
 # Every combination of the four-piece example whose match ends at 17.
@@ -460,6 +461,61 @@ def test_all_reporters_agree_with_the_oracle(seed):
     assert set(streamed) == expected
     assert [c[-1] for c in streamed] == sorted(c[-1] for c in streamed)
     assert _collect(report_chunked, pattern, text) == streamed
+
+
+def _refused_instance(seed: int, wide: str, unbounded: bool):
+    """A pattern ``bitvec.suits`` refuses, with 9 to 12 distinct bytes
+    (``wide`` "sigma") or a gap past ``MAX_CARRY`` ("carry"), and one
+    unbounded gap if asked; and a text with a few planted matches, whose
+    gaps are often the narrowest or the widest allowed."""
+    rng = random.Random(seed)
+    if wide == "sigma":
+        alphabet = b"ACDEFGHIKLMNPQ"
+        letters = bytes(rng.sample(alphabet, rng.randint(9, 12)))
+        cuts = sorted(rng.sample(range(1, len(letters)), rng.randint(1, 3)))
+        pieces = [letters[a:b] for a, b in zip([0, *cuts], [*cuts, len(letters)])]
+        size = rng.randint(0, 3000)
+    else:
+        alphabet = b"ACGT"
+        pieces = [bytes(rng.choices(alphabet, k=rng.randint(1, 3)))
+                  for _ in range(rng.randint(2, 3) + unbounded)]
+        size = rng.randint(bitvec.MAX_CARRY, 3 * bitvec.MAX_CARRY)
+    gaps = [GapBounds(lower, lower + rng.randint(0, 6))
+            for lower in rng.choices(range(7), k=len(pieces) - 1)]
+    order = rng.sample(range(len(gaps)), len(gaps))  # two gaps, where carry needs
+    if wide == "carry":
+        lower = bitvec.MAX_CARRY + rng.randint(0, 30)
+        gaps[order[0]] = GapBounds(lower, lower + rng.randint(0, 8))
+    if unbounded:
+        gaps[order[-1]] = GapBounds(gaps[order[-1]].lower, None)
+    pattern = VlgPattern(tuple(pieces), tuple(gaps))
+    text = bytearray(rng.choices(alphabet, k=size))
+    for _ in range(rng.randint(0, 6)):
+        pos = rng.randrange(size + 1)
+        for piece, gap in zip(pieces, [GapBounds(0, 0), *gaps]):
+            upper = gap.lower + 6 if gap.upper is None else gap.upper
+            pos += rng.choice((gap.lower, upper, rng.randint(gap.lower, upper)))
+            text[pos:pos + len(piece)] = piece
+            pos += len(piece)
+    return pattern, bytes(text[:size])
+
+
+@pytest.mark.parametrize("wide, unbounded", [
+    ("sigma", False), ("carry", False), ("sigma", True), ("carry", True)])
+def test_stream_count_equals_the_oracle_where_the_bit_engine_is_refused(
+        monkeypatch, wide, unbounded):
+    """``StreamPlan.count``, the ``stats`` engine for these patterns, on
+    small scan blocks, so that window claims cross block boundaries."""
+    monkeypatch.setattr(automaton, "_BLOCK", 64)
+    for seed in range(12):
+        pattern, text = _refused_instance(seed, wide, unbounded)
+        assert not bitvec.suits(pattern)
+        counts = StreamPlan(pattern).count(text)
+        assert counts.layer_occurrences == list(
+            map(len, occurrences_by_layer(pattern, text))), seed
+        assert counts.matches == len(brute_force_endpoints(pattern, text)), seed
+        want = None if unbounded else combination_count(pattern, text)
+        assert counts.beta == want, seed
 
 
 @settings(max_examples=60, deadline=None)
