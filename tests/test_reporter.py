@@ -482,7 +482,8 @@ def _refused_instance(seed: int, wide: str, unbounded: bool):
         size = rng.randint(bitvec.MAX_CARRY, 3 * bitvec.MAX_CARRY)
     gaps = [GapBounds(lower, lower + rng.randint(0, 6))
             for lower in rng.choices(range(7), k=len(pieces) - 1)]
-    order = rng.sample(range(len(gaps)), len(gaps))  # two gaps, where carry needs
+    # the wide gap and the unbounded one differ where both are asked for
+    order = rng.sample(range(len(gaps)), len(gaps))
     if wide == "carry":
         lower = bitvec.MAX_CARRY + rng.randint(0, 30)
         gaps[order[0]] = GapBounds(lower, lower + rng.randint(0, 8))
