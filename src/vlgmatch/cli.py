@@ -14,10 +14,13 @@ auto-detected from a leading ">") is searched record by record with
 1-based positions inside each record and an "<id>:" prefix on every output
 line; plain input is the whole file minus one trailing newline.
 
+Lines go out with one ``%`` format per run of combinations or batch of
+ends; ``main`` gives stdout a 64 KiB buffer (a terminal stays line-buffered).
+
 Exit status 0 on success (matching nothing is success), 2 on usage errors:
 unparseable pattern, unreadable input, unbounded gaps passed to a
-combination or graph command.  Where the platform has SIGPIPE, a closed
-stdout pipe ends the process silently by that signal.
+combination or graph command, or a closed stdout.  Where the platform has
+SIGPIPE, a closed stdout pipe ends the process silently by that signal.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import os
 import signal
 import sys
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import BinaryIO, Iterable, Iterator
 
 from .gapgraph import Run, RunSink, build_implicit_gap_graph
@@ -135,22 +138,29 @@ def _line_format(args, ident: str | None, key: str) -> tuple[str, str, str]:
     return head + '"ends": [', ", ", "]}\n"
 
 
+_ENDS_PER_WRITE = 2048
+
+
 def _write_ends(args, ident: str | None, ends: Iterable[int]) -> None:
+    """Writes the ends in batches of ``_ENDS_PER_WRITE``, one ``%`` format each."""
     head, _, close = _line_format(args, ident, "end")
+    line = head.replace("%", "%%") + "%d" + close
     write = sys.stdout.write
-    for end in ends:
-        write(f"{head}{end}{close}")
+    ends = iter(ends)
+    while batch := tuple(islice(ends, _ENDS_PER_WRITE)):
+        write(line * len(batch) % batch)
 
 
 def _run_writer(args, ident: str | None) -> RunSink:
-    """Writes each run of combinations with one join and one write."""
+    """Writes each run of combinations with one ``%`` format and one write."""
     head, sep, close = _line_format(args, ident, "ends")
+    head = head.replace("%", "%%") + "%d"  # an id may hold "%"
     write = sys.stdout.write
 
     def write_runs(runs: Iterable[Run]) -> None:
         for suffix, firsts in runs:
-            tail = sep.join(["", *map(str, suffix)]) + close
-            write(head + (tail + head).join(map(str, firsts)) + tail)
+            line = head + (sep + "%d") * len(suffix) % suffix + close
+            write(line * len(firsts) % tuple(firsts))
     return write_runs
 
 
@@ -256,6 +266,7 @@ def run(argv: list[str] | None = None) -> int:
         if args.bounded_for is not None and not pattern.bounded:
             raise ValueError(f"{args.bounded_for} requires bounded gap upper bounds")
         args.handler(args, pattern, docs)
+        sys.stdout.flush()  # a closed pipe seen only now is reported here too
     except (ValueError, OSError) as exc:
         print(f"vlgmatch: {exc}", file=sys.stderr)
         return 2
@@ -266,4 +277,18 @@ def main() -> None:
     if hasattr(signal, "SIGPIPE"):
         # a reader that stops early (``| head``) ends us the way it ends cat
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    sys.exit(run())
+    out = sys.stdout
+    if out is None:  # started with file descriptor 1 closed
+        print("vlgmatch: standard output is closed", file=sys.stderr)
+        sys.exit(2)
+    # one write per 64 KiB of output, also under ``python -u``; a terminal
+    # still sees each line as it is written
+    sys.stdout = io.TextIOWrapper(
+        open(out.fileno(), "wb", 1 << 16, closefd=False), out.encoding,
+        out.errors, line_buffering=out.isatty())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except OSError:  # a closed pipe, which run() reported: exit drops the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import errno
 import io
 import json
 import os
 import random
+import select
 import shutil
 import signal
 import subprocess
@@ -537,11 +539,17 @@ def test_engine_choice_at_the_carry_limit(capsys, built, tmp_path, expr, bits):
 
 
 LIBRARY_COMBOS = {
+    "bits": lambda pattern, text: _collect(helpers.report_bits, pattern, text),
     "onthefly": lambda pattern, text: _collect(report_on_the_fly, pattern, text),
     "chunked": lambda pattern, text: _collect(report_chunked, pattern, text),
     "oracle": lambda pattern, text: sorted(brute_force_combinations(pattern, text),
                                            key=lambda combo: combo[::-1]),
 }
+COMBOS_ARGV = {"bits": ["combos"], "onthefly": ["combos", "--engine", "onthefly"],
+               "chunked": ["combos", "--engine", "chunked"],
+               "oracle": ["oracle", "combos"]}
+# record ids that a "%" or str.format template would misread
+AWKWARD_IDS = ("50%", 'r%d{}"\\\u00e9')
 
 
 def _collect(report, pattern, text):
@@ -550,36 +558,66 @@ def _collect(report, pattern, text):
     return out
 
 
+def _write_records(path, fasta: bool, seed: int, sizes) -> dict[str, bytes]:
+    """Random DNA records named by AWKWARD_IDS, or the first alone as plain
+    text (id ""), written to ``path``."""
+    rng = random.Random(seed)
+    records = {ident: bytes(rng.choices(b"ACGT", k=size))
+               for ident, size in zip(AWKWARD_IDS, sizes)}
+    if not fasta:
+        records = {"": records[AWKWARD_IDS[0]]}
+    path.write_bytes(b"".join((f">{ident} x\n".encode() if fasta else b"") + seq + b"\n"
+                              for ident, seq in records.items()))
+    return records
+
+
+def _expected_lines(rows: dict[str, list], key: str, fmt: str, fasta: bool) -> str:
+    """The CLI lines for each record's values, by ``json.dumps`` or ``str``."""
+    lines = []
+    for ident, values in rows.items():
+        for value in values:
+            if fmt == "json":
+                record = {"record": ident} if fasta else {}
+                lines.append(json.dumps(record | {key: value}) + "\n")
+            else:
+                shown = ",".join(map(str, value)) if key == "ends" else str(value)
+                lines.append((f"{ident}:" if fasta else "") + shown + "\n")
+    return "".join(lines)
+
+
 @pytest.mark.parametrize("fasta", [False, True], ids=["plain", "fasta"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("engine", list(LIBRARY_COMBOS))
 def test_combos_lines_are_the_library_combinations(capsys, tmp_path, engine,
                                                    fmt, fasta):
     """The run writer prints each engine's tuples, in order, in every format."""
-    rng = random.Random(5)
-    records = {"r1": bytes(rng.choices(b"ACGT", k=700)),
-               "r2": bytes(rng.choices(b"ACGT", k=500))}
-    if not fasta:
-        records = {"": records["r1"]}
     path = tmp_path / "in.txt"
-    path.write_bytes(b"".join((f">{ident} x\n".encode() if fasta else b"") + seq + b"\n"
-                              for ident, seq in records.items()))
+    records = _write_records(path, fasta, 5, (700, 500))
     expr = "A.{0,4}G.{0,6}T"
-    argv = ["oracle", "combos"] if engine == "oracle" else ["combos", "--engine", engine]
+    code, out, err = _run(capsys, [*COMBOS_ARGV[engine], "-p", expr, "-t", str(path),
+                                   "--format", fmt])
+    assert (code, err) == (0, "")
+    rows = {}
+    for ident, seq in records.items():
+        rows[ident] = LIBRARY_COMBOS[engine](parse_pattern(expr), seq)
+        assert len(rows[ident]) > len(set(c[1:] for c in rows[ident])) > 1
+    assert out == _expected_lines(rows, "ends", fmt, fasta)
+
+
+@pytest.mark.parametrize("fasta", [False, True], ids=["plain", "fasta"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [["match"], ["oracle", "match"]])
+def test_match_lines_are_the_library_ends(capsys, tmp_path, argv, fmt, fasta):
+    """Ends are written in batches; every line is still the oracle's end."""
+    path = tmp_path / "in.txt"
+    records = _write_records(path, fasta, 6, (25_000, 300))
+    expr = "A.{0,4}G.{0,6}T"
     code, out, err = _run(capsys, [*argv, "-p", expr, "-t", str(path), "--format", fmt])
     assert (code, err) == (0, "")
-    expected = []
-    for ident, seq in records.items():
-        combos = LIBRARY_COMBOS[engine](parse_pattern(expr), seq)
-        assert len(combos) > len(set(c[1:] for c in combos)) > 1
-        record = {"record": ident} if fasta else {}
-        prefix = f"{ident}:" if fasta else ""
-        for combo in combos:
-            if fmt == "json":
-                expected.append(json.dumps(record | {"ends": list(combo)}) + "\n")
-            else:
-                expected.append(prefix + ",".join(map(str, combo)) + "\n")
-    assert out == "".join(expected)
+    rows = {ident: brute_force_endpoints(parse_pattern(expr), seq)
+            for ident, seq in records.items()}
+    assert len(rows[AWKWARD_IDS[0] if fasta else ""]) > 2 * cli._ENDS_PER_WRITE
+    assert out == _expected_lines(rows, "end", fmt, fasta)
 
 
 def test_ingest_fasta_basics():
@@ -698,3 +736,110 @@ def test_closed_stdout_pipe_ends_quietly(tmp_path):
         child.stderr.close()
     assert err == b""
     assert status == -signal.SIGPIPE
+
+
+def test_output_through_a_pipe_is_the_in_process_output(capsys, tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"A" * 3000)
+    argv = ["combos", "-p", "A.{0,3}A.{0,3}A", "-t", str(path)]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert len(out) > 10 * (1 << 16)
+    child = subprocess.run([sys.executable, "-m", "vlgmatch", *argv],
+                           capture_output=True, env=helpers.module_cli_env(), timeout=60)
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert child.stdout == out.encode()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor in the child")
+def test_closed_stdout_exits_2(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(helpers.EXAMPLE_TEXT)
+    result = subprocess.run(
+        [sys.executable, "-m", "vlgmatch", "match", "-p", helpers.EXAMPLE_PATTERN,
+         "-t", str(path)],
+        stderr=subprocess.PIPE, text=True, env=helpers.module_cli_env(),
+        preexec_fn=lambda: os.close(1), timeout=60)
+    assert (result.returncode, result.stderr) == (2, "vlgmatch: standard output is closed\n")
+
+
+class _ReaderGone(io.RawIOBase):
+    """A pipe whose reader has left: every write fails."""
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def test_broken_pipe_at_the_final_flush_exits_2(capsys, monkeypatch, example_file):
+    # the whole output fits in the buffer, so only run()'s flush writes
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(
+        io.BufferedWriter(_ReaderGone(), 1 << 16), encoding="utf-8"))
+    code = run(["match", "-p", helpers.EXAMPLE_PATTERN, "-t", example_file])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("vlgmatch: ")
+
+
+_NO_SIGPIPE_MAIN = """
+import signal, sys
+del signal.SIGPIPE  # as on a platform without it
+from vlgmatch.cli import main
+sys.argv[0] = "vlgmatch"
+main()
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a POSIX pipe")
+def test_closed_pipe_without_sigpipe_exits_2(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"AC" * 50_000)
+    child = subprocess.Popen(
+        [sys.executable, "-c", _NO_SIGPIPE_MAIN, "combos", "-p", "A.{0,3}C",
+         "-t", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=helpers.module_cli_env())
+    try:
+        assert child.stdout.readline() == b"1,2\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        status = child.wait(timeout=60)
+    finally:
+        child.kill()
+        child.stderr.close()
+    assert (status, err) == (2, b"vlgmatch: [Errno 32] Broken pipe\n")
+
+
+_TERMINAL_PROBE = """
+import sys
+from vlgmatch import cli
+def probe():
+    print("line", sys.stdout is not sys.__stdout__)
+    sys.stdin.readline()  # the line must arrive while the process still runs
+    return 0
+cli.run = probe
+cli.main()
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a pseudo-terminal")
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_terminal_stays_line_buffered(unbuffered):
+    pty = pytest.importorskip("pty")
+    env = helpers.module_cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    leader, follower = pty.openpty()
+    child = subprocess.Popen([sys.executable, "-c", _TERMINAL_PROBE],
+                             stdin=subprocess.PIPE, stdout=follower, env=env)
+    os.close(follower)
+    try:
+        ready, _, _ = select.select([leader], [], [], 30)
+        assert ready, "no line before the process ended"
+        assert os.read(leader, 100) == b"line True\r\n"
+        child.stdin.close()
+        assert child.wait(timeout=60) == 0
+    finally:
+        child.kill()
+        os.close(leader)
