@@ -16,7 +16,7 @@ retained; a layer's base is the absolute index of its first retained
 node, so dropping a prefix leaves every link valid.  ``expand`` reads
 the combinations out of these lists.  ``link`` builds them from per-layer
 end lists for the bit engine's blocks and, after ``window_graph``'s
-backward filter, for the chunked reporter's windows.
+backward filter, for the chunked reporter's scan blocks.
 
 Gap upper bounds must be bounded here; the decision matcher handles the
 unbounded case.
@@ -35,7 +35,7 @@ from .pattern import GapBounds, VlgPattern
 # A run ``(suffix, firsts)`` stands for the combinations ``(e1, *suffix)``
 # for ``e1`` in ``firsts``, ascending.
 Run = tuple[tuple[int, ...], list[int]]
-# every engine hands it the runs of one window, block or match, to consume
+# every engine hands it the runs of one scan block or match, to consume
 RunSink = Callable[[Iterable[Run]], object]
 # per layer from 1 (entry 0 unused): its nodes' ends, firsts and lasts
 Graph = list[tuple[list[int], list[int], list[int]]]
@@ -97,10 +97,10 @@ def gap_windows(pattern: VlgPattern) -> list[tuple[int, int]]:
 
 def window_graph(layers: list[list[int]], finals: list[int],
                  windows: list[tuple[int, int]]) -> Graph | None:
-    """``link``'s graph of the matches ending at ``finals``, from every
-    earlier layer's ascending ends; None if a layer has no end on one.
-    Backward, a layer keeps its ends in a kept later end's predecessor
-    window, one bisect pair per kept end."""
+    """``link``'s graph of the matches ending at ``finals``, one scan block's
+    final-layer ends, from every earlier layer's ascending ends; None if a
+    layer has no end on one.  Backward, a layer keeps its ends in a kept
+    later end's predecessor window, one bisect pair per kept end."""
     kept = [finals]
     for ends, (far, near) in zip(reversed(layers), reversed(windows)):
         found, top = [], 0

@@ -8,14 +8,15 @@ work is proportional to the output.
 Two drivers are provided, each a wrapper with a sink per combination
 over a core that hands ``expand``'s runs ``(suffix, firsts)`` to a run
 sink.  ``report_chunked`` (core ``chunked_runs``) scans once into
-per-layer end lists and builds one graph per overlapping text window
-from them, so memory is bounded by the window size.
+per-layer end lists trimmed to the last match span, and builds one graph
+per scan block from the matches ending in it, so memory is bounded by the
+span plus one scan block per layer.
 ``report_on_the_fly`` (``on_the_fly_runs``) streams the text once and
 emits every combination the moment its final occurrence appears, pruning
 nodes that can no longer contribute.  Both give the same combinations in
 the same order, and both require bounded gaps.  ``StreamPlan`` puts the
 paper's engines behind ``bitvec.BitPlan``'s methods ``ends``,
-``runs(text, sink)`` and ``count``, which sums β over the chunked windows.
+``runs(text, sink)`` and ``count``, which sums β over the block graphs.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+from . import automaton
 from .automaton import OccEvent
 from .gapgraph import (Counts, Graph, GraphBuilder, GraphCounters, Run, RunSink,
                        count_paths, expand, gap_windows, window_graph)
@@ -58,50 +60,20 @@ def count_combinations(graph: GraphBuilder) -> int:
     return count_paths(graph._layers, graph._base)
 
 
-class ChunkPlan(NamedTuple):
-    """Overlapping window layout over a text of ``text_len`` characters.
-
-    Window i (0-based) covers positions [i*stride + 1, i*stride + length],
-    clipped to the text.  Windows overlap in length - stride positions, at
-    least the longest match span less one, so every match fits in one.
-    """
-
-    length: int
-    stride: int
-    count: int
-
-
-def plan_chunks(span: int, text_len: int, length: int | None = None) -> ChunkPlan:
-    """Window layout for a maximum match span; length defaults to 2*span."""
-    if span < 1:
-        raise ValueError("span must be positive")
-    if length is None:
-        length = 2 * span
-    if length < span:
-        raise ValueError(
-            f"chunk length {length} is shorter than the match span bound {span}")
-    stride = max(1, length - span)
-    # windows up to the one claiming the text's last position
-    return ChunkPlan(length, stride, 1 + max(0, -((length - text_len) // stride)))
-
-
 @dataclass
 class ChunkCounters:
-    chunks: int = 0  # windows planned, built or not
-    peak_graphs: int = 0  # window graphs alive at once; 0 if none was built
+    chunks: int = 0  # scan blocks, whether or not they hold a final end
+    peak_graphs: int = 0  # block graphs alive at once; 0 if none was built
     emitted: int = 0
 
 
-def _window_graphs(pattern: VlgPattern, blocks: Iterable[tuple[int, list, list]],
-                   text_len: int, chunk_len: int | None = None) -> Iterator[Graph | None]:
-    """``window_graph`` of each window whose claim holds final-layer ends,
-    in text order, from the text's ``Automaton.scan`` blocks.  A window
-    claims the matches whose last end falls in its trailing stride (the
-    first's claim starts at position 1), so the claims partition the text
-    and a claimed match fits in its window.  Each layer's end list keeps
-    only what a later claim can reach."""
+def _block_graphs(pattern: VlgPattern,
+                  blocks: Iterable[tuple[int, list, list]]) -> Iterator[Graph | None]:
+    """``window_graph`` of each ``Automaton.scan`` block's final-layer ends,
+    for the blocks that hold some, in text order.  After each block, every
+    layer's end list drops the ends no later match can reach, those at or
+    before ``stop + 1 - span``, so it holds one span and one block of ends."""
     span, windows = pattern.max_match_span, gap_windows(pattern)
-    length, stride, _ = plan_chunks(span, text_len, chunk_len)
     *layers, finals = lists = [[] for _ in range(pattern.num_subpatterns)]
     # per emitting state, the appends of its layers' lists
     table = {state: tuple(lists[layer - 1].append for layer in emitted)
@@ -110,42 +82,35 @@ def _window_graphs(pattern: VlgPattern, blocks: Iterable[tuple[int, list, list]]
         for pos, state in zip(positions, states):
             for append in table[state]:
                 append(pos)
-        while finals:
-            # the window claiming the earliest final, as in plan_chunks' count
-            end = length + max(0, -((length - finals[0]) // stride) * stride)
-            if min(end, text_len) > stop:
-                break
-            claim = bisect_right(finals, end)
-            graph = window_graph(layers, finals[:claim], windows)
-            del finals[:claim]
+        if finals:
+            # a copy: with one layer, the graph holds the list it is given
+            graph = window_graph(layers, finals[:], windows)
+            finals.clear()
             yield graph
-            del graph  # before the next window's is built
-        cut = (finals[0] if finals else stop + 1) - span
+            del graph  # before the next block's is built
         for ends in layers:
-            del ends[:bisect_right(ends, cut)]
+            del ends[:bisect_right(ends, stop + 1 - span)]
 
 
-def chunked_runs(pattern: VlgPattern, text: bytes | str, sink: RunSink, *,
-                 chunk_len: int | None = None) -> ChunkCounters:
-    """Hand ``sink`` each claiming window's runs, in ``on_the_fly_runs``' order."""
+def chunked_runs(pattern: VlgPattern, text: bytes | str, sink: RunSink) -> ChunkCounters:
+    """Hand ``sink`` the runs of each scan block's matches, in ``on_the_fly_runs``' order."""
     data = ensure_bytes(text)
     if not pattern.bounded:
         raise ValueError("combination reporting requires bounded gaps")
-    plan = plan_chunks(pattern.max_match_span, len(data), chunk_len)
-    counters, scan = ChunkCounters(plan.count), pattern.automaton.scan(data)
-    for graph in _window_graphs(pattern, scan, len(data), chunk_len):
+    # read here, so that a changed block size counts too
+    counters = ChunkCounters(-(-len(data) // automaton._BLOCK))
+    for graph in _block_graphs(pattern, pattern.automaton.scan(data)):
         counters.peak_graphs = 1
         if graph and graph[-1][0]:
             counters.emitted += count_paths(graph, [0] * len(graph))
             sink(expand(graph, [0] * len(graph)))
-        del graph  # before the next window's is built
+        del graph  # before the next block's is built
     return counters
 
 
-def report_chunked(pattern: VlgPattern, text: bytes | str, sink: Sink, *,
-                   chunk_len: int | None = None) -> ChunkCounters:
+def report_chunked(pattern: VlgPattern, text: bytes | str, sink: Sink) -> ChunkCounters:
     """``chunked_runs``, one combination at a time."""
-    return chunked_runs(pattern, text, partial(_flatten, sink), chunk_len=chunk_len)
+    return chunked_runs(pattern, text, partial(_flatten, sink))
 
 
 def on_the_fly_runs(pattern: VlgPattern, text: bytes | str,
@@ -193,7 +158,7 @@ class StreamPlan(NamedTuple):
         return on_the_fly_runs(self.pattern, text, sink)
 
     def count(self, text: bytes | str) -> Counts:
-        """``BitPlan.count``'s counts: one scan feeds the matcher, then the windows."""
+        """``BitPlan.count``'s counts: one scan feeds the matcher, then the block graphs."""
         pattern, data = self.pattern, ensure_bytes(text)
         state, emits = MatcherState(pattern), pattern.automaton._emits
         process, ignore = state.process_event, deque(maxlen=0).append
@@ -206,7 +171,7 @@ class StreamPlan(NamedTuple):
 
         blocks, beta = matched(pattern.automaton.scan(data)), None
         if pattern.bounded:
-            graphs = _window_graphs(pattern, blocks, len(data))
+            graphs = _block_graphs(pattern, blocks)
             beta = sum(count_paths(graph, [0] * len(graph)) for graph in graphs if graph)
         deque(blocks, maxlen=0)  # an unbounded pattern's scan, for the matcher alone
         counters = state.counters

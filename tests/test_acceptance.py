@@ -14,6 +14,7 @@ from contextlib import contextmanager
 import pytest
 
 import helpers
+from vlgmatch import automaton
 from vlgmatch.automaton import build_automaton
 from vlgmatch.bitvec import BitPlan
 from vlgmatch.gapgraph import (GraphBuilder, build_implicit_gap_graph,
@@ -205,15 +206,17 @@ def test_criterion_09_streaming_node_retention_bound(corpus):
             assert counters.peak_live_nodes <= bound
 
 
-def test_criterion_10_minimal_chunks_emit_each_combination_once(corpus, tmp_path):
-    with criterion(10, "smallest legal window: every combination exactly once"):
-        for pattern, text in corpus:
-            reference: list[tuple[int, ...]] = []
-            report_on_the_fly(pattern, text, reference.append)
-            chunked: list[tuple[int, ...]] = []
-            report_chunked(pattern, text, chunked.append,
-                           chunk_len=pattern.max_match_span)
-            assert chunked == reference
+def test_criterion_10_minimal_chunks_emit_each_combination_once(corpus, tmp_path,
+                                                                monkeypatch):
+    with criterion(10, "one-byte scan blocks: every combination exactly once"):
+        with monkeypatch.context() as patched:
+            patched.setattr(automaton, "_BLOCK", 1)
+            for pattern, text in corpus:
+                reference: list[tuple[int, ...]] = []
+                report_on_the_fly(pattern, text, reference.append)
+                chunked: list[tuple[int, ...]] = []
+                report_chunked(pattern, text, chunked.append)
+                assert chunked == reference
         # The CLI runs as ``python -m vlgmatch`` on the package under test;
         # test_cli checks the installed console script itself.
         path = tmp_path / "text.txt"

@@ -19,7 +19,7 @@ from vlgmatch.oracle import (brute_force_combinations, brute_force_endpoints,
                              combination_count, occurrences_by_layer)
 from vlgmatch.pattern import GapBounds, VlgPattern, parse_pattern
 from vlgmatch.reporter import (StreamPlan, count_combinations, expand_combinations,
-                               plan_chunks, report_chunked, report_on_the_fly)
+                               report_chunked, report_on_the_fly)
 
 # Every combination of the four-piece example whose match ends at 17.
 COMBOS_ENDING_17 = helpers.COMBO_FIVE | {
@@ -103,78 +103,77 @@ def test_unbounded_gaps_rejected_by_both_drivers():
         report_chunked(pattern, helpers.EXAMPLE_TEXT, lambda combo: None)
 
 
-def test_plan_chunks_layout():
-    plan = plan_chunks(5, 100)
-    assert plan == (10, 5, 19)
-    assert plan_chunks(5, 100, 25) == (25, 20, 5)
-    # minimal window: stride degenerates to one position per chunk
-    assert plan_chunks(5, 12, 5) == (5, 1, 8)
-    assert plan_chunks(5, 8) == (10, 5, 1)
-    with pytest.raises(ValueError):
-        plan_chunks(5, 100, 4)
-    with pytest.raises(ValueError):
-        plan_chunks(0, 100)
+# Scan block sizes the chunked tests sweep: one byte, two small ones and
+# the default, so that matches and pieces cross block boundaries.
+BLOCKS = (1, 7, 64, automaton._BLOCK)
+
+
+def _block_count(text) -> int:
+    return -(-len(text) // automaton._BLOCK)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_chunked_counts_scan_blocks(monkeypatch, block):
+    """``chunks`` is the number of scan blocks, read when the call runs."""
+    monkeypatch.setattr(automaton, "_BLOCK", block)
+    pattern = parse_pattern(helpers.COMBO_PATTERN)
+    for size in (0, 1, block, block + 1, 3 * block + 5):
+        text = (helpers.EXAMPLE_TEXT * (1 + size // 31))[:size]
+        counters = report_chunked(pattern, text, lambda combo: None)
+        assert counters.chunks == -(-size // block), (block, size)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 40), st.integers(0, 400), st.integers(0, 60))
-def test_plan_chunks_windows_cover_and_claims_partition(span, text_len, pad):
-    """A window claims the last ends in its trailing stride positions, the
-    first window from position 1: the claims tile the text, and a match
-    whose last end is claimed fits in the window."""
-    length = span + pad
-    plan = plan_chunks(span, text_len, length)
-    assert plan.stride == max(1, length - span)
-    next_lo = 1
-    for index in range(plan.count):
-        offset = index * plan.stride
-        claim_lo = offset + length - plan.stride + 1 if index else 1
-        claim_hi = offset + length
-        assert claim_lo == next_lo
-        next_lo = claim_hi + 1
-        # the earliest start of a match ending at claim_lo is in the window
-        assert claim_lo - span + 1 >= offset + 1 or index == 0
-    # the final window reaches the text end, and no window lies past it
-    assert next_lo > text_len
-    assert plan.count == 1 or next_lo - plan.stride <= text_len
+@given(st.integers(0, 10**9), st.integers(1, 130))
+def test_block_claims_partition_the_finals(seed, block):
+    """One ``window_graph`` call per scan block holding a final-layer end,
+    with exactly that block's final ends: the calls partition the finals,
+    and every end list holds what a match ending in the block can reach."""
+    pattern, text = helpers.random_instance(random.Random(seed), max_text=200)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(automaton, "_BLOCK", block)
+        record = _record_graphs(patched)
+        got = _collect(report_chunked, pattern, text)
+        _assert_claims_recorded(record, pattern, text)
+    assert got == _collect(report_on_the_fly, pattern, text)
 
 
-def test_chunked_claims_match_on_stride_boundary_once():
-    """Matches whose last end is window-local length - stride, the last end
-    the window before claims, and length - stride + 1, the first it claims;
-    at stride 1 (the minimal window) and at stride span."""
+def test_chunked_claims_match_on_stride_boundary_once(monkeypatch):
+    """Matches whose last end is the last position of a scan block, and the
+    first position of a later one, at every block stride: each block claims
+    its own, once."""
     pattern = parse_pattern("A.{0,2}B")  # span 4
-    span = pattern.max_match_span
-    for chunk_len in (span, 2 * span):
-        plan = plan_chunks(span, 40, chunk_len)
-        text = bytearray(b"X" * 40)
-        ends = []
-        for index, local in ((2, plan.length - plan.stride),
-                             (5, plan.length - plan.stride + 1)):
-            end = index * plan.stride + local
+    for block in BLOCKS:
+        monkeypatch.setattr(automaton, "_BLOCK", block)
+        record = _record_graphs(monkeypatch)
+        last = block * -(-8 // block)
+        first = block * -(-(last + 8) // block) + 1
+        text = bytearray(b"X" * (first + 10))
+        for end in (last, first):
             text[end - 3:end] = b"AAB"  # two combinations end at ``end``
-            ends.append(end)
-        expected = [(end - shift, end) for end in ends for shift in (2, 1)]
+        expected = [(end - shift, end) for end in (last, first) for shift in (2, 1)]
         assert _collect(report_on_the_fly, pattern, bytes(text)) == expected
         got: list[tuple[int, ...]] = []
-        counters = report_chunked(pattern, bytes(text), got.append,
-                                  chunk_len=chunk_len)
-        assert got == expected, chunk_len
+        counters = report_chunked(pattern, bytes(text), got.append)
+        assert got == expected, block
         assert counters.emitted == 4
+        assert record.finals == [[last], [first]], block
 
 
-def test_chunked_match_visible_in_two_windows_emitted_once():
+def test_chunked_match_visible_in_two_windows_emitted_once(monkeypatch):
+    """A match whose pieces fall in two scan blocks is in both blocks' end
+    lists, and only the block of its last end reports it."""
     pattern = parse_pattern("A.{0,2}B")
-    # windows 1-8 and 5-12: the first claims last end 7, the second holds it too
-    text = b"XXXXXABXXXXX"
-    combos = _collect(report_chunked, pattern, text)
-    assert combos == [(6, 7)]
+    text = b"XXXXXABXXXXX"  # the A ends block 1 at block size 6
+    for block in (1, 6, *BLOCKS):
+        monkeypatch.setattr(automaton, "_BLOCK", block)
+        assert _collect(report_chunked, pattern, text) == [(6, 7)], block
 
 
 def _record_graphs(monkeypatch):
-    """Wrap ``reporter.window_graph`` to record, per call, the claimed final
-    ends, a copy of every earlier layer's end list and the node ends of the
-    graph returned (None if none).  Each graph returned is a weakly
+    """Wrap ``reporter.window_graph`` to record, per call, the final ends it
+    is given, a copy of every earlier layer's end list and the node ends of
+    the graph returned (None if none).  Each graph returned is a weakly
     referenced list, and ``alive`` gains how many are alive (after a
     collection) when it is made."""
     record = SimpleNamespace(finals=[], layers=[], nodes=[], refs=[], alive=[])
@@ -199,91 +198,84 @@ def _record_graphs(monkeypatch):
     return record
 
 
-def test_chunked_counters_and_retention():
+def test_chunked_counters_and_retention(monkeypatch):
     pattern = parse_pattern(helpers.COMBO_PATTERN)
-    span = pattern.max_match_span
-    counters = report_chunked(pattern, helpers.EXAMPLE_TEXT, lambda combo: None,
-                              chunk_len=span)
-    # every planned window is counted, whether or not its graph is built
-    plan = plan_chunks(span, len(helpers.EXAMPLE_TEXT), span)
-    assert counters.chunks == plan.count > 2
-    assert counters.peak_graphs == 1
-    assert counters.emitted == 17
-    single = report_chunked(pattern, helpers.EXAMPLE_TEXT, lambda combo: None)
-    assert single.chunks == 1 and single.peak_graphs == 1
+    for block in BLOCKS:
+        monkeypatch.setattr(automaton, "_BLOCK", block)
+        counters = report_chunked(pattern, helpers.EXAMPLE_TEXT, lambda combo: None)
+        # every scan block is counted, whether or not its graph is built
+        assert counters.chunks == _block_count(helpers.EXAMPLE_TEXT), block
+        assert counters.peak_graphs == 1
+        assert counters.emitted == 17
 
 
 def test_chunked_keeps_one_window_graph_alive(monkeypatch):
-    """Weak references to every window graph, counted as each is made."""
-    record = _record_graphs(monkeypatch)
+    """Weak references to every block graph, counted as each is made."""
     pattern = parse_pattern(helpers.COMBO_PATTERN)
-    counters = report_chunked(pattern, helpers.EXAMPLE_TEXT, lambda combo: None,
-                              chunk_len=pattern.max_match_span)
-    assert counters.chunks > len(record.alive) > 2
-    assert max(record.alive) == counters.peak_graphs == 1
-    gc.collect()
-    assert all(ref() is None for ref in record.refs)
+    for block in BLOCKS:
+        monkeypatch.setattr(automaton, "_BLOCK", block)
+        record = _record_graphs(monkeypatch)
+        counters = report_chunked(pattern, helpers.EXAMPLE_TEXT, lambda combo: None)
+        assert counters.chunks >= len(record.alive) > (2 if block == 1 else 0)
+        assert max(record.alive) == counters.peak_graphs == 1
+        gc.collect()
+        assert all(ref() is None for ref in record.refs)
 
 
-def _claims(pattern, text, chunk_len):
-    """Per window whose claim holds a final-layer occurrence, in order: the
-    final ends it claims, from an independent scan."""
-    plan = plan_chunks(pattern.max_match_span, len(text), chunk_len)
+def _claims(pattern, text):
+    """Per scan block holding a final-layer occurrence, in order: its final
+    ends, from an independent scan."""
     events = []
     pattern.automaton.stream(text, events.append)
-    finals = [e.position for e in events if pattern.num_subpatterns in e.layers]
-    claims = []
-    for index in range(plan.count):
-        offset = index * plan.stride
-        claim_lo = offset + plan.length - plan.stride + 1 if index else 1
-        claim = [end for end in finals if claim_lo <= end <= offset + plan.length]
-        if claim:
-            claims.append(claim)
-    return claims
+    claims: dict[int, list[int]] = {}
+    for event in events:
+        if pattern.num_subpatterns in event.layers:
+            block = (event.position - 1) // automaton._BLOCK
+            claims.setdefault(block, []).append(event.position)
+    return list(claims.values())
 
 
-def _assert_claims_recorded(record, pattern, text, chunk_len):
-    """One ``window_graph`` call per claim holding a final occurrence, with
-    that claim's finals, and every earlier layer's list holding each
-    occurrence of that layer a claimed match can reach."""
-    claims = _claims(pattern, text, chunk_len)
-    assert record.finals == claims, chunk_len
+def _assert_claims_recorded(record, pattern, text):
+    """One ``window_graph`` call per scan block holding a final occurrence,
+    with that block's finals.  Every earlier layer's list holds each
+    occurrence of that layer a claimed match can reach, and nothing the
+    trim after the block before should have dropped."""
+    block = automaton._BLOCK
+    assert record.finals == _claims(pattern, text), block
     span = pattern.max_match_span
     events = []
     pattern.automaton.stream(text, events.append)
     for finals, layers in zip(record.finals, record.layers):
         reach = range(finals[0] - span + 1, finals[-1] + 1)
+        # the block's ends, less what the trim after the block before drops
+        start = (finals[0] - 1) // block * block
+        held = range(start + 2 - span, start + block + 1)
         for layer, ends in enumerate(layers, start=1):
             wanted = [e.position for e in events
                       if layer in e.layers and e.position in reach]
-            assert [end for end in ends if end in reach] == wanted, chunk_len
+            assert [end for end in ends if end in reach] == wanted, block
+            assert all(end in held for end in ends), block
 
 
-@pytest.mark.parametrize("minimal", [True, False], ids=["stride-1", "2-span"])
-def test_chunked_piece_straddling_the_window_offset(monkeypatch, minimal):
-    """A seven-byte piece starts before the offset of the window that claims
-    the match after it and ends inside it, with a compatible second piece:
-    both are in the end lists that window's ``window_graph`` call gets, at
-    one-byte scan blocks too, and its graph, of the claimed match, holds
-    neither."""
+@pytest.mark.parametrize("before", [1, 6], ids=["one-byte-before", "six-bytes-before"])
+def test_chunked_piece_straddling_the_window_offset(monkeypatch, before):
+    """A seven-byte piece crosses a scan block boundary, with ``before`` of
+    its bytes in the earlier block, and a compatible second piece follows
+    it, but no third: both are in the end lists that the ``window_graph``
+    call of the later match's block gets, and its graph, of that match,
+    holds neither."""
     pattern = parse_pattern("GATTACA.{0,3}CC.{0,2}T")  # span 15
-    span = pattern.max_match_span
-    chunk_len = span if minimal else 2 * span
-    # the match ending at e: window (e - 15, e] at stride 1, (15, 45] at 2*span
-    lead = 0 if minimal else 12
-    text = b"X" * lead + b"GATTACACC" + b"GATTACACCT" + b"X" * 20
-    e = lead + 19
-    offset = e - span if minimal else span
-    straddler = lead + 7  # the first GATTACA ends here and starts at lead + 1
-    assert lead + 1 <= offset < straddler
-    expected = _collect(report_on_the_fly, pattern, text)
-    for block in (1, 7, automaton._BLOCK):
+    for block in BLOCKS:
         monkeypatch.setattr(automaton, "_BLOCK", block)
+        lead = -before % block
+        assert (lead + before) % block == 0  # a block ends inside the piece
+        text = b"X" * lead + b"GATTACACC" + b"XX" + b"GATTACACCT" + b"X" * 20
+        e, straddler = lead + 21, lead + 7
+        expected = _collect(report_on_the_fly, pattern, text)
         record = _record_graphs(monkeypatch)
-        got = _collect(report_chunked, pattern, text, chunk_len=chunk_len)
-        assert got == expected
-        assert (lead + 16, lead + 18, lead + 19) in got
-        _assert_claims_recorded(record, pattern, text, chunk_len)
+        got = _collect(report_chunked, pattern, text)
+        assert got == expected == [(lead + 18, lead + 20, e)]
+        _assert_claims_recorded(record, pattern, text)
         call = next(i for i, finals in enumerate(record.finals) if e in finals)
         first, second = record.layers[call]
         assert straddler in first and lead + 9 in second, block
@@ -294,9 +286,9 @@ def test_chunked_piece_straddling_the_window_offset(monkeypatch, minimal):
 
 def test_chunked_builds_only_windows_claiming_a_final_occurrence(monkeypatch):
     """Sparse text: a rare final piece, three planted matches and a final
-    piece with no predecessor; most windows claim nothing and build
-    nothing, and each graph is built from its claim's final ends and
-    keeps those that end a match."""
+    piece with no predecessor.  Only the scan blocks holding a final end
+    build a graph, each from that block's final ends, keeping those that
+    end a match; the lone final's block builds None where it is alone."""
     pattern = parse_pattern("AC.{0,4}GGATCC")  # span 12
     text = bytearray(_random_dna(5, 4000))
     for end in (700, 2101, 3999):
@@ -305,19 +297,23 @@ def test_chunked_builds_only_windows_claiming_a_final_occurrence(monkeypatch):
     text = bytes(text)
     expected = _collect(report_on_the_fly, pattern, text)
     assert len(expected) >= 3
-    span = pattern.max_match_span
-    for chunk_len in (span, span + 1, 2 * span + 3, None):
+    for block in BLOCKS:
+        monkeypatch.setattr(automaton, "_BLOCK", block)
         record = _record_graphs(monkeypatch)
         got: list[tuple[int, ...]] = []
-        counters = report_chunked(pattern, text, got.append, chunk_len=chunk_len)
-        assert got == expected, chunk_len
-        _assert_claims_recorded(record, pattern, text, chunk_len)
-        assert 4 <= len(record.finals) < counters.chunks // 20
+        counters = report_chunked(pattern, text, got.append)
+        assert got == expected, block
+        _assert_claims_recorded(record, pattern, text)
+        if block <= 7:
+            assert 4 <= len(record.finals) < counters.chunks // 20
         for finals, nodes in zip(record.finals, record.nodes):
             ending = sorted({combo[-1] for combo in got if combo[-1] in finals})
-            assert (nodes[-1] if nodes else []) == ending, chunk_len
+            assert (nodes[-1] if nodes else []) == ending, block
         lone = next(i for i, finals in enumerate(record.finals) if 1506 in finals)
-        assert record.nodes[lone] is None, chunk_len
+        if block <= 7:
+            assert record.finals[lone] == [1506], block
+        if record.finals[lone] == [1506]:
+            assert record.nodes[lone] is None, block
         assert counters.peak_graphs == 1
 
 
@@ -328,7 +324,8 @@ def test_chunked_text_shorter_than_one_window(text):
     got: list[tuple[int, ...]] = []
     counters = report_chunked(pattern, text, got.append)
     assert got == _collect(report_on_the_fly, pattern, text)
-    assert counters.chunks == 1 and counters.emitted == len(got)
+    assert counters.chunks == (1 if text else 0)
+    assert counters.emitted == len(got)
     assert counters.peak_graphs == (1 if b"T" in text else 0)
 
 
@@ -336,7 +333,8 @@ def test_chunked_text_shorter_than_one_window(text):
     ("CA.{0,3}TCA", b"ACT"),
     ("A.{0,2}GA.{0,2}A", b"AG"),
 ], ids=["suffix-of-last", "suffix-of-two"])
-def test_chunked_events_carrying_the_final_and_lower_layers(expr, alphabet):
+def test_chunked_events_carrying_the_final_and_lower_layers(monkeypatch, expr,
+                                                           alphabet):
     """A piece that is a suffix of the last piece: final-layer events also
     carry lower layers, and some carry only a lower one."""
     pattern = parse_pattern(expr)
@@ -347,38 +345,35 @@ def test_chunked_events_carrying_the_final_and_lower_layers(expr, alphabet):
     assert any(e.layers[-1] == k and len(e.layers) > 1 for e in events)
     expected = _collect(report_on_the_fly, pattern, text)
     assert expected
-    span = pattern.max_match_span
-    for chunk_len in (span, span + 1, 2 * span, 2 * span + 3):
-        assert _collect(report_chunked, pattern, text, chunk_len=chunk_len) == expected
+    for block in BLOCKS:
+        monkeypatch.setattr(automaton, "_BLOCK", block)
+        assert _collect(report_chunked, pattern, text) == expected, block
 
 
 def test_chunked_equals_on_the_fly_across_chunk_lengths_and_scan_blocks(monkeypatch):
     """Seeded random instances: chunked output equals on-the-fly output as a
-    list, order included, for every chunk length and scan block size."""
+    list, order included, for every scan block size."""
     rng = random.Random(21)
     matched = 0
     for _ in range(200):
         pattern, text = helpers.random_instance(rng, max_text=200)
         expected = _collect(report_on_the_fly, pattern, text)
         matched += bool(expected)
-        span = pattern.max_match_span
-        for block in (1, 7, 64, automaton._BLOCK):
+        for block in (1, 2, 7, 64, automaton._BLOCK):
             monkeypatch.setattr(automaton, "_BLOCK", block)
-            for chunk_len in (span, span + 1, 2 * span + 3, None):
-                got = _collect(report_chunked, pattern, text, chunk_len=chunk_len)
-                assert got == expected, (pattern, text, block, chunk_len)
+            got = _collect(report_chunked, pattern, text)
+            assert got == expected, (pattern, text, block)
     assert matched >= 80
 
 
-def test_chunk_length_sweep_reports_each_combination_once():
+def test_chunk_length_sweep_reports_each_combination_once(monkeypatch):
     pattern = parse_pattern(helpers.COMBO_PATTERN)
-    span = pattern.max_match_span
     reference = sorted(_collect(report_on_the_fly, pattern,
                                 helpers.EXAMPLE_TEXT))
-    for chunk_len in (span, span + 1, span + 7, 2 * span, 1000):
-        combos = _collect(report_chunked, pattern, helpers.EXAMPLE_TEXT,
-                          chunk_len=chunk_len)
-        assert sorted(combos) == reference, chunk_len
+    for block in (1, 2, 7, 16, 30, 31, *BLOCKS):
+        monkeypatch.setattr(automaton, "_BLOCK", block)
+        combos = _collect(report_chunked, pattern, helpers.EXAMPLE_TEXT)
+        assert sorted(combos) == reference, block
         assert len(combos) == len(set(combos))
 
 
@@ -392,19 +387,19 @@ def _random_dna(seed, size):
     ("GT", _random_dna(2, 500) + b"GT"),
     ("A.{0,200}C", _random_dna(3, 5000) + b"AC"),
 ], ids=["dna-head3", "periodic", "one-piece", "wide-gap"])
-def test_chunked_order_equals_on_the_fly(expr, text):
-    """Chunked output is the on-the-fly list at every window length; each
-    text ends in a match that the final window claims."""
+def test_chunked_order_equals_on_the_fly(monkeypatch, expr, text):
+    """Chunked output is the on-the-fly list at every scan block size; each
+    text ends in a match that the last block claims."""
     pattern = parse_pattern(expr)
-    span = pattern.max_match_span
     expected = _collect(report_on_the_fly, pattern, text)
     assert expected[-1][-1] == len(text)
-    for chunk_len in (span, span + 1, 2 * span, None):
+    for block in BLOCKS:
+        monkeypatch.setattr(automaton, "_BLOCK", block)
         got: list[tuple[int, ...]] = []
-        counters = report_chunked(pattern, text, got.append, chunk_len=chunk_len)
-        assert got == expected, chunk_len
+        counters = report_chunked(pattern, text, got.append)
+        assert got == expected, block
         assert counters.emitted == len(expected)
-        assert counters.chunks > 1
+        assert counters.chunks == _block_count(text)
 
 
 def test_many_combinations_per_match():
@@ -506,7 +501,7 @@ def _refused_instance(seed: int, wide: str, unbounded: bool):
 def test_stream_count_equals_the_oracle_where_the_bit_engine_is_refused(
         monkeypatch, wide, unbounded):
     """``StreamPlan.count``, the ``stats`` engine for these patterns, on
-    small scan blocks, so that window claims cross block boundaries."""
+    small scan blocks, so that matches cross block boundaries."""
     monkeypatch.setattr(automaton, "_BLOCK", 64)
     for seed in range(12):
         pattern, text = _refused_instance(seed, wide, unbounded)
@@ -520,11 +515,11 @@ def test_stream_count_equals_the_oracle_where_the_bit_engine_is_refused(
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**9), st.integers(0, 50))
-def test_chunked_agrees_across_window_lengths(seed, pad):
+@given(st.integers(0, 10**9), st.integers(1, 130))
+def test_chunked_agrees_across_window_lengths(seed, block):
     rng = random.Random(seed)
     pattern, text = helpers.random_instance(rng, max_text=120)
-    span = pattern.max_match_span
     expected = _collect(report_on_the_fly, pattern, text)
-    for chunk_len in (span, span + pad):
-        assert _collect(report_chunked, pattern, text, chunk_len=chunk_len) == expected
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(automaton, "_BLOCK", block)
+        assert _collect(report_chunked, pattern, text) == expected
