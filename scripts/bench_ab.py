@@ -70,7 +70,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent commit")
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
-    parser.add_argument("--workdir", type=Path, default=None,
+    parser.add_argument("--workdir", type=lambda path: Path(path).resolve(), default=None,
                         help="where the temporary directory for both trees goes")
     args = parser.parse_args()
 

@@ -123,7 +123,7 @@ def run_side(tree: Path, data: Path, cells: list[list[str]]) -> list[list]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent commit")
-    parser.add_argument("--workdir", type=Path, default=None,
+    parser.add_argument("--workdir", type=lambda path: Path(path).resolve(), default=None,
                         help="where the temporary directory for both trees goes")
     args = parser.parse_args()
     commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", "HEAD")}

@@ -19,8 +19,9 @@ ends; ``main`` gives stdout a 64 KiB buffer (a terminal stays line-buffered).
 
 Exit status 0 on success (matching nothing is success), 2 on usage errors:
 unparseable pattern, unreadable input, unbounded gaps passed to a
-combination or graph command, or a closed stdout.  Where the platform has
-SIGPIPE, a closed stdout pipe ends the process silently by that signal.
+combination or graph command, or a closed stdout; a closed stderr only
+loses the message.  Where the platform has SIGPIPE, a closed stdout pipe
+ends the process silently by that signal.
 """
 
 from __future__ import annotations
@@ -38,6 +39,15 @@ from typing import BinaryIO, Iterable, Iterator
 from .gapgraph import Run, RunSink, build_implicit_gap_graph
 from .pattern import parse_pattern
 from .reporter import StreamPlan
+
+
+def _warn(message: str) -> None:
+    """One line on stderr; a closed stderr drops it (``main`` mends the exit)."""
+    try:
+        if sys.stderr is not None:  # None when started with descriptor 2 closed
+            print(message, file=sys.stderr, flush=True)
+    except OSError:
+        pass
 
 
 @dataclass
@@ -64,8 +74,7 @@ def ingest_fasta(stream: BinaryIO) -> Iterator[InputDocument]:
             if sequence:
                 yield InputDocument(ident, sequence)
             elif ident is not None:
-                print(f"warning: FASTA record '{ident}' has an empty sequence; skipped",
-                      file=sys.stderr)
+                _warn(f"warning: FASTA record '{ident}' has an empty sequence; skipped")
             tokens = line[1:].split()
             ident = tokens[0].decode("utf-8", "replace") if tokens else ""
             parts = []
@@ -268,7 +277,7 @@ def run(argv: list[str] | None = None) -> int:
         args.handler(args, pattern, docs)
         sys.stdout.flush()  # a closed pipe seen only now is reported here too
     except (ValueError, OSError) as exc:
-        print(f"vlgmatch: {exc}", file=sys.stderr)
+        _warn(f"vlgmatch: {exc}")
         return 2
     return 0
 
@@ -279,7 +288,7 @@ def main() -> None:
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     out = sys.stdout
     if out is None:  # started with file descriptor 1 closed
-        print("vlgmatch: standard output is closed", file=sys.stderr)
+        _warn("vlgmatch: standard output is closed")
         sys.exit(2)
     # one write per 64 KiB of output, also under ``python -u``; a terminal
     # still sees each line as it is written
@@ -287,8 +296,9 @@ def main() -> None:
         open(out.fileno(), "wb", 1 << 16, closefd=False), out.encoding,
         out.errors, line_buffering=out.isatty())
     code = run()
-    try:
-        sys.stdout.flush()
-    except OSError:  # a closed pipe, which run() reported: exit drops the rest
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        try:
+            stream.flush()
+        except OSError:  # closed, which run() reported if it could: exit drops the rest
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     sys.exit(code)

@@ -28,7 +28,6 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import automaton
-from .automaton import OccEvent
 from .gapgraph import (Counts, Graph, GraphBuilder, GraphCounters, Run, RunSink,
                        count_paths, expand, gap_windows, window_graph)
 from .matcher import MatcherState
@@ -166,7 +165,7 @@ class StreamPlan(NamedTuple):
         def matched(blocks):
             for stop, positions, states in blocks:
                 for pos, at in zip(positions, states):
-                    process(OccEvent(pos, emits[at]), ignore)
+                    process(automaton.OccEvent(pos, emits[at]), ignore)
                 yield stop, positions, states
 
         blocks, beta = matched(pattern.automaton.scan(data)), None

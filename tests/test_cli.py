@@ -13,6 +13,7 @@ import signal
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -20,7 +21,7 @@ import pytest
 import helpers
 from vlgmatch.automaton import Automaton
 from vlgmatch.bitvec import BitPlan
-from vlgmatch import bitvec, cli
+from vlgmatch import automaton, bitvec, cli, oracle
 from vlgmatch.cli import InputDocument, ingest_fasta, run
 from vlgmatch.oracle import (brute_force_combinations, brute_force_endpoints,
                              occurrences_by_layer)
@@ -763,6 +764,31 @@ def test_closed_stdout_exits_2(tmp_path):
     assert (result.returncode, result.stderr) == (2, "vlgmatch: standard output is closed\n")
 
 
+def _read_only_stderr() -> None:
+    """Descriptor 2 reused by a file open for reading, as a shell wrapper
+    that runs the interpreter with stderr closed can leave it."""
+    os.dup2(os.open(os.devnull, os.O_RDONLY), 2)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor in the child")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("close", [lambda: os.close(2), _read_only_stderr],
+                         ids=["closed", "read-only"])
+@pytest.mark.parametrize("expr, name", [("A.{3", "t.txt"), ("A.{3}C", "missing.txt")],
+                         ids=["bad-pattern", "missing-file"])
+def test_closed_stderr_exits_2(tmp_path, unbuffered, close, expr, name):
+    (tmp_path / "t.txt").write_bytes(helpers.EXAMPLE_TEXT)
+    env = helpers.module_cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    result = subprocess.run(
+        [sys.executable, "-m", "vlgmatch", "match", "-p", expr,
+         "-t", str(tmp_path / name)],
+        stdout=subprocess.PIPE, env=env, preexec_fn=close, timeout=60)
+    assert (result.returncode, result.stdout) == (2, b"")
+
+
 class _ReaderGone(io.RawIOBase):
     """A pipe whose reader has left: every write fails."""
 
@@ -843,3 +869,30 @@ def test_terminal_stays_line_buffered(unbuffered):
     finally:
         child.kill()
         os.close(leader)
+
+
+@pytest.mark.parametrize("block", [1, 7, automaton._BLOCK])
+def test_grid_slice_prints_the_oracle_bytes(capsys, monkeypatch, tmp_path, block):
+    """A seeded slice of ``scripts/diff_ab.py``'s grid, whose inputs are all
+    within the oracle's cap, in text and JSON: every ``combos`` form prints
+    ``oracle combos``' bytes and ``match`` prints ``oracle match``'s, with
+    scan blocks that split the matches."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
+    import diff_ab
+    monkeypatch.chdir(tmp_path)
+    inputs = diff_ab.inputs(tmp_path).values()
+    cells = random.Random(26).sample(
+        [(expr, *names) for expr in diff_ab.PATTERNS.values() for names in inputs], 24)
+    monkeypatch.setattr(automaton, "_BLOCK", block)
+    printed = 0
+    for expr, name, extra in cells:
+        assert not os.path.exists(name) or os.path.getsize(name) <= oracle.MAX_TEXT
+        for fmt in ("text", "json"):
+            tail = ["-p", expr, "-t", name, *extra, "--format", fmt]
+            want = _run(capsys, ["oracle", "combos", *tail])
+            printed += bool(want[1])
+            for engine in ([], ["--engine", "onthefly"], ["--engine", "chunked"]):
+                assert _run(capsys, ["combos", *engine, *tail]) == want, (engine, tail)
+            assert (_run(capsys, ["match", *tail])
+                    == _run(capsys, ["oracle", "match", *tail])), tail
+    assert printed >= 10
