@@ -96,7 +96,6 @@ def chunked_runs(pattern: VlgPattern, text: bytes | str, sink: RunSink) -> Chunk
     data = ensure_bytes(text)
     if not pattern.bounded:
         raise ValueError("combination reporting requires bounded gaps")
-    # read here, so that a changed block size counts too
     counters = ChunkCounters(-(-len(data) // automaton._BLOCK))
     for graph in _block_graphs(pattern, pattern.automaton.scan(data)):
         counters.peak_graphs = 1

@@ -123,7 +123,7 @@ def test_chunked_counts_scan_blocks(monkeypatch, block):
         assert counters.chunks == -(-size // block), (block, size)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**9), st.integers(1, 130))
 def test_block_claims_partition_the_finals(seed, block):
     """One ``window_graph`` call per scan block holding a final-layer end,
