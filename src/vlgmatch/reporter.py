@@ -8,15 +8,15 @@ work is proportional to the output.
 Two drivers are provided, each a wrapper with a sink per combination
 over a core that hands ``expand``'s runs ``(suffix, firsts)`` to a run
 sink.  ``report_chunked`` (core ``chunked_runs``) scans once into
-per-layer end lists trimmed to the last match span, and builds one graph
-per scan block from the matches ending in it, so memory is bounded by the
-span plus one scan block per layer.
+per-layer end lists trimmed to the last match span, and builds a graph
+for each scan block's matches, from at most a span of their last ends at
+a time, so memory is bounded by the span plus one scan block per layer.
 ``report_on_the_fly`` (``on_the_fly_runs``) streams the text once and
 emits every combination the moment its final occurrence appears, pruning
 nodes that can no longer contribute.  Both give the same combinations in
 the same order, and both require bounded gaps.  ``StreamPlan`` puts the
 paper's engines behind ``bitvec.BitPlan``'s methods ``ends``,
-``runs(text, sink)`` and ``count``, which sums β over the block graphs.
+``runs(text, sink)`` and ``count``, which sums β over the chunked graphs.
 """
 
 from __future__ import annotations
@@ -62,16 +62,17 @@ def count_combinations(graph: GraphBuilder) -> int:
 @dataclass
 class ChunkCounters:
     chunks: int = 0  # scan blocks, whether or not they hold a final end
-    peak_graphs: int = 0  # block graphs alive at once; 0 if none was built
+    peak_graphs: int = 0  # graphs alive at once; 0 if none was built
     emitted: int = 0
 
 
 def _block_graphs(pattern: VlgPattern,
                   blocks: Iterable[tuple[int, list, list]]) -> Iterator[Graph | None]:
-    """``window_graph`` of each ``Automaton.scan`` block's final-layer ends,
-    for the blocks that hold some, in text order.  After each block, every
-    layer's end list drops the ends no later match can reach, those at or
-    before ``stop + 1 - span``, so it holds one span and one block of ends."""
+    """``window_graph`` of the final-layer ends of each ``Automaton.scan``
+    block, in text order and ``span`` ends at a time, so that a graph does
+    not grow with the block.  After each block, every layer's end list
+    drops the ends no later match can reach, those at or before
+    ``stop + 1 - span``, so it holds one span and one block of ends."""
     span, windows = pattern.max_match_span, gap_windows(pattern)
     *layers, finals = lists = [[] for _ in range(pattern.num_subpatterns)]
     # per emitting state, the appends of its layers' lists
@@ -81,18 +82,17 @@ def _block_graphs(pattern: VlgPattern,
         for pos, state in zip(positions, states):
             for append in table[state]:
                 append(pos)
-        if finals:
-            # a copy: with one layer, the graph holds the list it is given
-            graph = window_graph(layers, finals[:], windows)
-            finals.clear()
+        for at in range(0, len(finals), span):
+            graph = window_graph(layers, finals[at:at + span], windows)
             yield graph
-            del graph  # before the next block's is built
+            del graph  # before the next one is built
+        finals.clear()
         for ends in layers:
             del ends[:bisect_right(ends, stop + 1 - span)]
 
 
 def chunked_runs(pattern: VlgPattern, text: bytes | str, sink: RunSink) -> ChunkCounters:
-    """Hand ``sink`` the runs of each scan block's matches, in ``on_the_fly_runs``' order."""
+    """Hand ``sink`` the runs of each ``_block_graphs`` graph, in ``on_the_fly_runs``' order."""
     data = ensure_bytes(text)
     if not pattern.bounded:
         raise ValueError("combination reporting requires bounded gaps")
@@ -102,7 +102,7 @@ def chunked_runs(pattern: VlgPattern, text: bytes | str, sink: RunSink) -> Chunk
         if graph and graph[-1][0]:
             counters.emitted += count_paths(graph, [0] * len(graph))
             sink(expand(graph, [0] * len(graph)))
-        del graph  # before the next block's is built
+        del graph  # before the next one is built
     return counters
 
 
@@ -156,7 +156,7 @@ class StreamPlan(NamedTuple):
         return on_the_fly_runs(self.pattern, text, sink)
 
     def count(self, text: bytes | str) -> Counts:
-        """``BitPlan.count``'s counts: one scan feeds the matcher, then the block graphs."""
+        """``BitPlan.count``'s counts: one scan feeds the matcher, then the chunked graphs."""
         pattern, data = self.pattern, ensure_bytes(text)
         state, emits = MatcherState(pattern), pattern.automaton._emits
         process, ignore = state.process_event, deque(maxlen=0).append

@@ -112,15 +112,15 @@ def _block_count(text) -> int:
     return -(-len(text) // automaton._BLOCK)
 
 
-@pytest.mark.parametrize("block", BLOCKS)
-def test_chunked_counts_scan_blocks(monkeypatch, block):
-    """``chunks`` is the number of scan blocks, read when the call runs."""
-    monkeypatch.setattr(automaton, "_BLOCK", block)
+def test_chunked_counts_scan_blocks(monkeypatch):
+    """``chunks`` is the number of scan blocks, at the block size of the call."""
     pattern = parse_pattern(helpers.COMBO_PATTERN)
-    for size in (0, 1, block, block + 1, 3 * block + 5):
-        text = (helpers.EXAMPLE_TEXT * (1 + size // 31))[:size]
-        counters = report_chunked(pattern, text, lambda combo: None)
-        assert counters.chunks == -(-size // block), (block, size)
+    for block in BLOCKS:
+        monkeypatch.setattr(automaton, "_BLOCK", block)
+        for size in (0, 1, block, block + 1, 3 * block + 5):
+            text = (helpers.EXAMPLE_TEXT * (1 + size // 31))[:size]
+            counters = report_chunked(pattern, text, lambda combo: None)
+            assert counters.chunks == -(-size // block), (block, size)
 
 
 @settings(max_examples=25, deadline=None)
@@ -222,22 +222,40 @@ def test_chunked_keeps_one_window_graph_alive(monkeypatch):
         assert all(ref() is None for ref in record.refs)
 
 
+def test_chunked_graphs_take_at_most_a_span_of_finals(monkeypatch):
+    """Periodic text, where every position ends the last piece: each graph
+    is built from at most ``span`` final ends, at every block size, so a
+    graph does not grow with the block."""
+    pattern = parse_pattern("A.{0,3}A.{0,3}A")  # span 9
+    text = b"A" * 150
+    for block in BLOCKS[1:]:  # one-byte blocks hold one final each
+        monkeypatch.setattr(automaton, "_BLOCK", block)
+        record = _record_graphs(monkeypatch)
+        counters = report_chunked(pattern, text, lambda combo: None)
+        assert max(map(len, record.finals)) == min(9, block)
+        assert sum(map(len, record.finals)) == 150
+        assert counters.emitted == combination_count(pattern, text)
+        _assert_claims_recorded(record, pattern, text)
+
+
 def _claims(pattern, text):
     """Per scan block holding a final-layer occurrence, in order: its final
-    ends, from an independent scan."""
+    ends, from an independent scan, cut into runs of at most the span."""
     events = []
     pattern.automaton.stream(text, events.append)
-    claims: dict[int, list[int]] = {}
+    blocks: dict[int, list[int]] = {}
     for event in events:
         if pattern.num_subpatterns in event.layers:
             block = (event.position - 1) // automaton._BLOCK
-            claims.setdefault(block, []).append(event.position)
-    return list(claims.values())
+            blocks.setdefault(block, []).append(event.position)
+    span = pattern.max_match_span
+    return [finals[at:at + span] for finals in blocks.values()
+            for at in range(0, len(finals), span)]
 
 
 def _assert_claims_recorded(record, pattern, text):
-    """One ``window_graph`` call per scan block holding a final occurrence,
-    with that block's finals.  Every earlier layer's list holds each
+    """One ``window_graph`` call per run of at most ``span`` finals of a scan
+    block, in order.  Every earlier layer's list holds each
     occurrence of that layer a claimed match can reach, and nothing the
     trim after the block before should have dropped."""
     block = automaton._BLOCK
