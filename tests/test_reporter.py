@@ -126,9 +126,9 @@ def test_chunked_counts_scan_blocks(monkeypatch):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**9), st.integers(1, 130))
 def test_block_claims_partition_the_finals(seed, block):
-    """One ``window_graph`` call per scan block holding a final-layer end,
-    with exactly that block's final ends: the calls partition the finals,
-    and every end list holds what a match ending in the block can reach."""
+    """One ``window_graph`` call per run of at most ``span`` final-layer
+    ends of one scan block: the calls partition the finals, and every end
+    list holds what a match ending in the block can reach."""
     pattern, text = helpers.random_instance(random.Random(seed), max_text=200)
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(automaton, "_BLOCK", block)
