@@ -40,11 +40,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import compress
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .gapgraph import (Counts, Graph, RunSink, count_paths, expand, gap_windows,
-                       link)
 from .pattern import VlgPattern, ensure_bytes
+
+if TYPE_CHECKING:  # ``match`` runs without the graph module
+    from .gapgraph import Counts, Graph, RunSink
 
 # The CLI runs this engine for patterns with at most MAX_SIGMA distinct
 # bytes, at most MAX_LITERAL literal bytes and at most MAX_CARRY carried
@@ -119,7 +120,7 @@ class BitPlan:
         self._lead = max(map(len, pieces)) - 1
         self._keep = _carry(pattern)
         self._bounded = pattern.bounded
-        self._windows = gap_windows(pattern) if self._bounded else None
+        self._pattern = pattern
 
     def _forward(self, data: bytes, occurrences: list[int] | None = None
                  ) -> Iterator[tuple[int, int, list[int]]]:
@@ -183,6 +184,7 @@ class BitPlan:
         """
         if not self._bounded:
             raise ValueError("combination reporting requires bounded gaps")
+        from .gapgraph import expand
         base = [0] * (len(self._pieces) + 1)
         for stop, length, layers in self._forward(ensure_bytes(text)):
             if layers[-1]:
@@ -191,6 +193,7 @@ class BitPlan:
     def count(self, text: bytes | str) -> Counts:
         """``stats``' counts, equal to those of ``MatcherState`` and
         ``count_combinations``; ``beta`` is None with an unbounded gap."""
+        from .gapgraph import Counts, count_paths
         occurrences = [0] * len(self._pieces)
         matches = beta = 0
         base = [0] * (len(self._pieces) + 1)
@@ -230,12 +233,14 @@ class BitPlan:
     def _graph(self, stop: int, length: int, layers: list[int]) -> Graph:
         """The block's graph, from ``gapgraph.link``: the occurrences on
         some match ending in the block, each linked to its predecessor run."""
+        from .gapgraph import gap_windows, link
+        windows = gap_windows(self._pattern)
         found = layers[-1]
         window = length + min(self._keep, stop - length)
         ends = [list(_positions(found, stop))]
-        for bits, (far, near) in zip(layers[-2::-1], self._windows[::-1]):
+        for bits, (far, near) in zip(layers[-2::-1], windows[::-1]):
             # an end's predecessors lie near to far positions earlier
             width = min(far - near + 1, window)
             found = bits & _smear_later(found << (near + width - 1), width)
             ends.append(list(_positions(found, stop)))
-        return link(ends[::-1], self._windows)
+        return link(ends[::-1], windows)

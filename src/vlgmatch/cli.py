@@ -28,17 +28,19 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import signal
+import stat
 import sys
-from dataclasses import dataclass
 from itertools import chain, islice
-from typing import BinaryIO, Iterable, Iterator
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator
 
-from .gapgraph import Run, RunSink, build_implicit_gap_graph
 from .pattern import parse_pattern
-from .reporter import StreamPlan
+
+# json and the engines are imported where they run (each costs its compile)
+if TYPE_CHECKING:
+    from .gapgraph import Run, RunSink
 
 
 def _warn(message: str) -> None:
@@ -50,12 +52,11 @@ def _warn(message: str) -> None:
         pass
 
 
-@dataclass
-class InputDocument:
+class InputDocument(SimpleNamespace):
     """One searchable text: a FASTA record, or a whole plain file (no id)."""
 
-    ident: str | None
-    sequence: bytes
+    def __init__(self, ident: str | None, sequence: bytes) -> None:
+        super().__init__(ident=ident, sequence=sequence)
 
 
 def ingest_fasta(stream: BinaryIO) -> Iterator[InputDocument]:
@@ -121,19 +122,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(handle: BinaryIO, size: int = 0) -> bytes:
+    """The input less one trailing ``\r\n`` or ``\n``.  Given a regular
+    file's ``size``, the file is read to that length less the newline, so
+    the text is not copied.  A stream, or a file whose length is not
+    ``size`` (a /proc file has size 0), is read whole, then read as such."""
+    tail = b""
+    if size:
+        handle.seek(max(0, size - 2))
+        tail = handle.read(2)
+        handle.seek(0)
+    cut = 2 if tail.endswith(b"\r\n") else int(tail.endswith(b"\n"))
+    raw, rest = handle.read(size - cut), handle.read()
+    if len(raw) == size - cut and rest == tail[len(tail) - cut:]:
+        return raw
+    raw += rest  # no copy when nothing was read before
+    return _read(io.BytesIO(raw), len(raw))
+
+
 def _load_documents(args: argparse.Namespace) -> Iterable[InputDocument]:
     if args.text == "-":
-        raw = sys.stdin.buffer.read()
+        raw = _read(sys.stdin.buffer)
     else:
         with open(args.text, "rb") as handle:
-            raw = handle.read()
+            info = os.fstat(handle.fileno())
+            raw = _read(handle, info.st_size if stat.S_ISREG(info.st_mode) else 0)
     if args.fasta or raw.startswith(b">"):
         # parsed as the commands ask, so one record is held at a time
         return ingest_fasta(io.BytesIO(raw))
-    if raw.endswith(b"\r\n"):
-        raw = raw[:-2]
-    elif raw.endswith(b"\n"):
-        raw = raw[:-1]
     return [InputDocument(None, raw)]
 
 
@@ -141,6 +157,7 @@ def _line_format(args, ident: str | None, key: str) -> tuple[str, str, str]:
     """(head, sep, close): a line is head + sep.join(values) + close."""
     if args.format == "text":
         return ("" if ident is None else f"{ident}:"), ",", "\n"
+    import json
     head = "{" + ("" if ident is None else f'"record": {json.dumps(ident)}, ')
     if key == "end":
         return head + '"end": ', "", "}\n"
@@ -177,9 +194,10 @@ def _plan(pattern, engine: str | None = None):
     """The engine a command runs, a ``BitPlan`` or a ``StreamPlan``: the
     bit engine when ``bitvec.suits`` the pattern and no engine is named."""
     if engine is None:
-        from . import bitvec  # compiled only by the commands that may run it
+        from . import bitvec
         if bitvec.suits(pattern):
             return bitvec.BitPlan(pattern)
+    from .reporter import StreamPlan
     return StreamPlan(pattern, engine)
 
 
@@ -190,7 +208,7 @@ def _match(args, pattern, docs) -> None:
 
 
 def _oracle_match(args, pattern, docs) -> None:
-    from . import oracle  # compiled only when asked for, to keep start-up short
+    from . import oracle
     for doc in docs:
         _write_ends(args, doc.ident, oracle.brute_force_endpoints(pattern, doc.sequence))
 
@@ -202,7 +220,7 @@ def _combos(args, pattern, docs) -> None:
 
 
 def _oracle_combos(args, pattern, docs) -> None:
-    from . import oracle  # compiled only when asked for, to keep start-up short
+    from . import oracle
     for doc in docs:
         # by last end, then by the earlier ends from the last: the engines' order
         combos = sorted(oracle.brute_force_combinations(pattern, doc.sequence),
@@ -213,6 +231,8 @@ def _oracle_combos(args, pattern, docs) -> None:
 def _graph(args, pattern, docs) -> None:
     """Text output is ``N <layer> <endpos>`` per node, then ``E <layer>
     <endpos> <pred_layer> <pred_endpos>`` per edge, each by (layer, endpos)."""
+    import json
+    from .gapgraph import build_implicit_gap_graph
     write = sys.stdout.write
     for doc in docs:
         graph = build_implicit_gap_graph(pattern, doc.sequence)
@@ -238,16 +258,12 @@ def _stats(args, pattern, docs) -> None:
     write = sys.stdout.write
     for doc in docs:
         counts = count(doc.sequence)
-        values = {
-            "n": len(doc.sequence),
-            "m": pattern.literal_length,
-            "k": pattern.num_subpatterns,
-            "A": pattern.min_gap_sum,
-            "B": pattern.max_gap_sum,
-            "alpha": sum(counts.layer_occurrences),
-            **counts._asdict(),
-        }
+        values = {"n": len(doc.sequence), "m": pattern.literal_length,
+                  "k": pattern.num_subpatterns, "A": pattern.min_gap_sum,
+                  "B": pattern.max_gap_sum, "alpha": sum(counts.layer_occurrences),
+                  **counts._asdict()}
         if args.format == "json":
+            import json
             if doc.ident is not None:
                 values["record"] = doc.ident
             write(json.dumps(values) + "\n")

@@ -25,12 +25,12 @@ unbounded case.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
-from .automaton import OccEvent
-from .pattern import GapBounds, VlgPattern
+if TYPE_CHECKING:
+    from .automaton import OccEvent
+    from .pattern import GapBounds, VlgPattern
 
 # A run ``(suffix, firsts)`` stands for the combinations ``(e1, *suffix)``
 # for ``e1`` in ``firsts``, ascending.
@@ -149,14 +149,10 @@ def tail_span_bounds(pattern: VlgPattern) -> tuple[int, ...]:
     occurrence and the end of any full match using it; 0 for the last
     layer.  Requires bounded gaps.
     """
-    count = pattern.num_subpatterns
-    spans = [0] * count
-    for i in range(count - 2, -1, -1):
-        gap = pattern.gaps[i]
-        if gap.upper is None:
-            raise ValueError("tail spans require bounded gaps")
-        spans[i] = spans[i + 1] + gap.upper + len(pattern.subpatterns[i + 1])
-    return tuple(spans)
+    if not pattern.bounded:
+        raise ValueError("tail spans require bounded gaps")
+    fars = [far for far, _ in gap_windows(pattern)]
+    return tuple(accumulate(reversed(fars), initial=0))[::-1]
 
 
 def max_dual_ranges(gap: GapBounds, next_sublen: int) -> int:
@@ -171,15 +167,13 @@ def max_dual_ranges(gap: GapBounds, next_sublen: int) -> int:
     return next_sublen + gap.upper + 1
 
 
-@dataclass
 class GraphCounters:
-    occurrences: int = 0
-    nodes_created: int = 0
-    nodes_purged: int = 0
-    peak_live_nodes: int = 0
-    # index i-2 = most layer-(i-1) nodes at or after the window start of
-    # one layer-i lookup
-    peak_dual_ranges: list[int] = field(default_factory=list)
+    def __init__(self, layers: int) -> None:
+        self.occurrences = self.nodes_created = self.nodes_purged = 0
+        self.peak_live_nodes = 0
+        # index i-2 = most layer-(i-1) nodes at or after the window start of
+        # one layer-i lookup
+        self.peak_dual_ranges = [0] * (layers - 1)
 
 
 class GraphBuilder:
@@ -209,7 +203,7 @@ class GraphBuilder:
         self.on_match = on_match
         # only pruning reads the tail spans
         self._horizons = tail_span_bounds(pattern) if prune else ()
-        self.counters = GraphCounters(peak_dual_ranges=[0] * (k - 1))
+        self.counters = GraphCounters(k)
 
     def feed(self, event: OccEvent) -> None:
         pos = event.position

@@ -13,7 +13,6 @@ absorb every later merge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from .automaton import OccEvent
@@ -82,16 +81,11 @@ class RangeList:
         return start <= pos and (end is None or pos <= end)
 
 
-@dataclass
 class MatchCounters:
-    occurrences: int = 0
-    appended: int = 0
-    purged: int = 0
-    reported: int = 0
-    # index i-1 = occurrences of layer i
-    layer_occurrences: list[int] = field(default_factory=list)
-    # index i-2 = peak size of layer i's list
-    peak_ranges: list[int] = field(default_factory=list)
+    def __init__(self, layers: int) -> None:
+        self.occurrences = self.appended = self.purged = self.reported = 0
+        self.layer_occurrences = [0] * layers  # index i-1 = layer i's occurrences
+        self.peak_ranges = [0] * (layers - 1)  # index i-2 = peak size of layer i's list
 
 
 class MatcherState:
@@ -106,9 +100,7 @@ class MatcherState:
             layer: RangeList(layer, self._sublen[layer - 1])
             for layer in range(2, self._k + 1)
         }
-        self.counters = MatchCounters(
-            layer_occurrences=[0] * self._k,
-            peak_ranges=[0] * (self._k - 1))
+        self.counters = MatchCounters(self._k)
         self._observer = observer
         self._last_emit = 0
 

@@ -17,7 +17,6 @@ about the alphabet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -50,26 +49,43 @@ class PatternSyntaxError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class GapBounds:
+class _Value:
+    """``dataclass(frozen=True)`` over ``_fields``, without importing ``inspect``."""
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self._fields, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class GapBounds(_Value):
     """Admissible filler lengths between two neighbouring literals.
 
     ``upper is None`` means the gap has no upper bound.
     """
 
-    lower: int
-    upper: int | None
+    _fields = ("lower", "upper")
 
-    def __post_init__(self) -> None:
-        if self.lower < 0:
-            raise ValueError(f"gap lower bound must be >= 0, got {self.lower}")
-        if self.upper is not None and self.upper < self.lower:
-            raise ValueError(
-                f"gap bounds out of order: {self.lower} > {self.upper}")
-
-    @property
-    def bounded(self) -> bool:
-        return self.upper is not None
+    def __init__(self, lower: int, upper: int | None) -> None:
+        if lower < 0:
+            raise ValueError(f"gap lower bound must be >= 0, got {lower}")
+        if upper is not None and upper < lower:
+            raise ValueError(f"gap bounds out of order: {lower} > {upper}")
+        self.__dict__.update(lower=lower, upper=upper)
 
     @property
     def num_lengths(self) -> int:
@@ -79,20 +95,20 @@ class GapBounds:
         return self.upper - self.lower + 1
 
 
-@dataclass(frozen=True)
-class VlgPattern:
+class VlgPattern(_Value):
     """A parsed gap pattern: literal pieces and the gaps between them."""
 
-    subpatterns: tuple[bytes, ...]
-    gaps: tuple[GapBounds, ...]
+    _fields = ("subpatterns", "gaps")
 
-    def __post_init__(self) -> None:
-        if not self.subpatterns:
+    def __init__(self, subpatterns: tuple[bytes, ...],
+                 gaps: tuple[GapBounds, ...]) -> None:
+        if not subpatterns:
             raise ValueError("pattern needs at least one literal")
-        if any(not piece for piece in self.subpatterns):
+        if any(not piece for piece in subpatterns):
             raise ValueError("empty literal in pattern")
-        if len(self.gaps) != len(self.subpatterns) - 1:
+        if len(gaps) != len(subpatterns) - 1:
             raise ValueError("pattern needs one gap between consecutive literals")
+        self.__dict__.update(subpatterns=subpatterns, gaps=gaps)
 
     @property
     def num_subpatterns(self) -> int:
@@ -110,16 +126,12 @@ class VlgPattern:
     @cached_property
     def max_gap_sum(self) -> int | None:
         """Sum of the gap upper bounds, or None if any gap is unbounded."""
-        total = 0
-        for gap in self.gaps:
-            if gap.upper is None:
-                return None
-            total += gap.upper
-        return total
+        uppers = [gap.upper for gap in self.gaps]
+        return None if None in uppers else sum(uppers)
 
     @cached_property
     def bounded(self) -> bool:
-        return all(gap.bounded for gap in self.gaps)
+        return self.max_gap_sum is not None
 
     @cached_property
     def max_match_span(self) -> int | None:

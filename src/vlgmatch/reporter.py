@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -59,11 +58,11 @@ def count_combinations(graph: GraphBuilder) -> int:
     return count_paths(graph._layers, graph._base)
 
 
-@dataclass
 class ChunkCounters:
-    chunks: int = 0  # scan blocks, whether or not they hold a final end
-    peak_graphs: int = 0  # graphs alive at once; 0 if none was built
-    emitted: int = 0
+    def __init__(self, chunks: int) -> None:
+        self.chunks = chunks  # scan blocks, whether or not they hold a final end
+        self.peak_graphs = 0  # graphs alive at once; 0 if none was built
+        self.emitted = 0
 
 
 def _block_graphs(pattern: VlgPattern,

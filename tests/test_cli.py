@@ -12,6 +12,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -71,6 +72,53 @@ def test_trailing_newline_stripped_once(capsys, tmp_path, tail):
         "match", "-p", helpers.EXAMPLE_PATTERN, "-t", str(path)])
     assert code == 0
     assert out == "17\n28\n31\n"
+
+
+@pytest.mark.parametrize("tail", [b"", b"\n", b"\r\n"])
+def test_load_documents_holds_one_copy_of_a_file(tmp_path, tail):
+    text = b"ACGT" * (1 << 18)
+    path = tmp_path / "t.txt"
+    path.write_bytes(text + tail)
+    args = SimpleNamespace(text=str(path), fasta=False)
+    tracemalloc.start()
+    try:
+        docs = cli._load_documents(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert docs == [InputDocument(None, text)]
+    assert peak < 1.1 * len(text)
+
+
+@pytest.mark.parametrize("content, text", [
+    (b"\n", b""), (b"\r\n", b""), (b"", b""), (b"\r", b"\r"), (b"\n\n", b"\n"),
+    (b"A\r\r\n", b"A\r")])
+def test_load_documents_short_files(tmp_path, content, text):
+    path = tmp_path / "t.txt"
+    path.write_bytes(content)
+    docs = cli._load_documents(SimpleNamespace(text=str(path), fasta=False))
+    assert docs == [InputDocument(None, text)]
+
+
+@pytest.mark.skipif(not os.path.isfile("/proc/self/status"), reason="no procfs")
+def test_load_documents_procfs_file():
+    # procfs gives its files length 0; the text is what reading gives
+    docs = cli._load_documents(SimpleNamespace(text="/proc/self/status", fasta=False))
+    (doc,) = docs
+    assert doc.sequence.startswith(b"Name:") and not doc.sequence.endswith(b"\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+@pytest.mark.parametrize("tail", [b"", b"\n", b"\r\n", b"\r"])
+def test_dev_stdin_pipe_strips_one_newline(tail):
+    data = helpers.EXAMPLE_TEXT + tail
+    result = subprocess.run(
+        [sys.executable, "-m", "vlgmatch", "stats", "-p", helpers.EXAMPLE_PATTERN,
+         "-t", "/dev/stdin"],
+        input=data, capture_output=True, env=helpers.module_cli_env(), timeout=60)
+    assert (result.returncode, result.stderr) == (0, b"")
+    n = len(data) - {b"\n": 1, b"\r\n": 2}.get(tail, 0)
+    assert result.stdout.startswith(b"n %d\nm " % n)
 
 
 def test_inner_newlines_are_text_characters(capsys, tmp_path):
@@ -703,6 +751,28 @@ def test_bitvec_imported_only_where_it_runs(tmp_path, argv, loaded):
         capture_output=True, text=True, env=helpers.module_cli_env(), timeout=60)
     assert result.stdout
     assert result.stderr == f"{loaded} 0\n"
+
+
+@pytest.mark.parametrize("command, graph", [
+    ("match", False), ("combos", True), ("stats", True)])
+def test_bit_engine_commands_import_only_what_they_run(tmp_path, command, graph):
+    """Each module a start imports is compiled when no bytecode is cached."""
+    path = tmp_path / "t.txt"
+    path.write_bytes(helpers.EXAMPLE_TEXT)
+    probe = ("import sys; before = set(sys.modules); from vlgmatch.cli import run; "
+             "code = run(sys.argv[1:]); "
+             "print(code, *sorted(set(sys.modules) - before), file=sys.stderr)")
+    result = subprocess.run(
+        [sys.executable, "-c", probe, command, "-p", helpers.EXAMPLE_PATTERN,
+         "-t", str(path)],
+        capture_output=True, text=True, env=helpers.module_cli_env(), timeout=60)
+    assert result.stdout
+    code, *loaded = result.stderr.split()
+    assert code == "0"
+    assert {name for name in loaded if "vlgmatch" in name} == {
+        "vlgmatch", "vlgmatch.cli", "vlgmatch.pattern", "vlgmatch.bitvec",
+        *["vlgmatch.gapgraph"] * graph}
+    assert not {"dataclasses", "inspect", "json"} & set(loaded)
 
 
 @pytest.mark.skipif(os.name != "posix", reason="argv bytes are POSIX")

@@ -103,6 +103,37 @@ def test_vlg_pattern_validation():
         VlgPattern((b"A", b"B"), ())
 
 
+def test_gap_bounds_and_patterns_are_values():
+    gap = GapBounds(2, 6)
+    assert gap == GapBounds(lower=2, upper=6) and gap != GapBounds(2, None)
+    assert gap != (2, 6)
+    assert hash(gap) == hash(GapBounds(2, 6))
+    assert repr(gap) == "GapBounds(lower=2, upper=6)"
+    pattern = parse_pattern("A.{2,6}CC")
+    assert pattern == VlgPattern((b"A", b"CC"), (gap,))
+    assert pattern != parse_pattern("A.{2,7}CC")
+    assert {pattern: 1}[parse_pattern("A.{2,6}CC")] == 1
+    assert repr(pattern) == ("VlgPattern(subpatterns=(b'A', b'CC'), "
+                             "gaps=(GapBounds(lower=2, upper=6),))")
+    # a cached figure is kept out of equality, hashing and repr
+    assert pattern.max_match_span == 9
+    assert pattern == VlgPattern((b"A", b"CC"), (gap,))
+    assert hash(pattern) == hash(VlgPattern((b"A", b"CC"), (gap,)))
+    assert "max_match_span" not in repr(pattern)
+
+
+@pytest.mark.parametrize("value, field", [
+    (GapBounds(2, 6), "lower"), (GapBounds(2, None), "upper"),
+    (parse_pattern("A.{2,6}CC"), "subpatterns"), (parse_pattern("AC"), "gaps")])
+def test_value_fields_cannot_be_assigned(value, field):
+    before = getattr(value, field)
+    with pytest.raises(AttributeError, match=field):
+        setattr(value, field, before)
+    with pytest.raises(AttributeError, match=field):
+        delattr(value, field)
+    assert getattr(value, field) == before
+
+
 # ---------------------------------------------------------------------------
 # round-trip property
 
