@@ -124,9 +124,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read(handle: BinaryIO, size: int = 0) -> bytes:
     """The input less one trailing ``\r\n`` or ``\n``.  Given a regular
-    file's ``size``, the file is read to that length less the newline, so
-    the text is not copied.  A stream, or a file whose length is not
-    ``size`` (a /proc file has size 0), is read whole, then read as such."""
+    file's ``size``, it is read to that length less the newline, so the
+    text is not copied.  A stream, or a file not ``size`` long (a /proc
+    file has size 0), is read whole, then again from memory at its length."""
     tail = b""
     if size:
         handle.seek(max(0, size - 2))
