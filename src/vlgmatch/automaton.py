@@ -8,6 +8,7 @@ prefix plus that byte which is itself a prefix.  A state emits the
 layers of every piece that is a suffix of its prefix.  Nothing is
 assumed about the alphabet beyond byte values.  ``scan`` hands over each
 text block's occurrences as two lists; ``stream`` turns them into events.
+``RunReport`` is the one type in which every streaming engine counts.
 """
 
 from __future__ import annotations
@@ -27,9 +28,25 @@ class OccEvent(NamedTuple):
     layers: tuple[int, ...]  # ascending 1-based layer indices
 
 
-class StreamCounters(NamedTuple):
-    positions: int
-    failure_steps: int
+class RunReport:
+    """What one streaming run counted; a field its engine does not count
+    stays 0.  ``Automaton.stream`` counts positions and failure_steps.
+    ``MatcherState`` counts occurrences, layer_occurrences, appended,
+    purged, reported and peak_ranges.  ``GraphBuilder`` counts occurrences,
+    nodes_created, nodes_purged, peak_live_nodes and peak_dual_ranges.
+    ``chunked_runs`` counts chunks (every scan block), peak_graphs (1 once
+    a graph is built) and emitted (combinations)."""
+
+    def __init__(self, layers: int = 0) -> None:
+        self.positions = self.failure_steps = self.occurrences = 0
+        self.appended = self.purged = self.reported = self.emitted = 0
+        self.nodes_created = self.nodes_purged = self.peak_live_nodes = 0
+        self.chunks = self.peak_graphs = 0
+        self.layer_occurrences = [0] * layers  # index i-1 = layer i's
+        # index i-2 = layer i's peak range-list size, and its peak count of
+        # layer-(i-1) nodes at or after one lookup's window start
+        self.peak_ranges = [0] * (layers - 1)
+        self.peak_dual_ranges = [0] * (layers - 1)
 
 
 class Automaton:
@@ -120,16 +137,16 @@ class Automaton:
             yield pos, positions, states
 
     def stream(self, text: bytes | str,
-               sink: Callable[[OccEvent], None]) -> StreamCounters:
+               sink: Callable[[OccEvent], None]) -> RunReport:
         """Hand ``sink`` each position's occurrence event, ascending, one
-        ``scan`` block at a time.  Returns counters: positions is the text
-        length, and failure_steps is 0, as the table takes no failure step.
-        """
-        emits, stop = self._emits, 0
+        ``scan`` block at a time.  The report's positions is the text length,
+        and its failure_steps 0, as the table takes no failure step."""
+        emits, report = self._emits, RunReport()
         for stop, positions, states in self.scan(text):
             for pos, state in zip(positions, states):
                 sink(OccEvent(pos, emits[state]))
-        return StreamCounters(stop, 0)
+            report.positions = stop
+        return report
 
 
 def build_automaton(strings: Iterable[bytes | str]) -> Automaton:

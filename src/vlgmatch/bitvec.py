@@ -185,10 +185,9 @@ class BitPlan:
         if not self._bounded:
             raise ValueError("combination reporting requires bounded gaps")
         from .gapgraph import expand
-        base = [0] * (len(self._pieces) + 1)
         for stop, length, layers in self._forward(ensure_bytes(text)):
             if layers[-1]:
-                sink(expand(self._graph(stop, length, layers), base))
+                sink(expand(self._graph(stop, length, layers)))
 
     def count(self, text: bytes | str) -> Counts:
         """``stats``' counts, equal to those of ``MatcherState`` and
@@ -196,7 +195,6 @@ class BitPlan:
         from .gapgraph import Counts, count_paths
         occurrences = [0] * len(self._pieces)
         matches = beta = 0
-        base = [0] * (len(self._pieces) + 1)
         # per gap: how far past its cluster's last end a range lives, how
         # far apart ends join one range, and ``matcher.max_live_ranges``
         ranges = [(None, None, 1) if width is None else
@@ -208,7 +206,7 @@ class BitPlan:
             if found:
                 matches += found.bit_count()
                 if self._bounded:
-                    beta += count_paths(self._graph(stop, length, layers), base)
+                    beta += count_paths(self._graph(stop, length, layers))
             block = (1 << length) - 1
             for i, (reach, width, most) in enumerate(ranges):
                 ends = layers[i]

@@ -230,27 +230,26 @@ def _oracle_combos(args, pattern, docs) -> None:
 
 def _graph(args, pattern, docs) -> None:
     """Text output is ``N <layer> <endpos>`` per node, then ``E <layer>
-    <endpos> <pred_layer> <pred_endpos>`` per edge, each by (layer, endpos)."""
-    import json
+    <endpos> <pred_layer> <pred_endpos>`` per edge, each by (layer, endpos);
+    each kind of line is one ``%`` template."""
     from .gapgraph import build_implicit_gap_graph
     write = sys.stdout.write
     for doc in docs:
-        graph = build_implicit_gap_graph(pattern, doc.sequence)
         if args.format == "text":
-            prefix = "" if doc.ident is None else f"{doc.ident}:"
-            for layer, end in graph.nodes():
-                write(f"{prefix}N {layer} {end}\n")
-            for layer, end, pred in graph.edges():
-                write(f"{prefix}E {layer} {end} {layer - 1} {pred}\n")
-            continue
-        record = {} if doc.ident is None else {"record": doc.ident}
-        for layer, end in graph.nodes():
-            write(json.dumps({"type": "node", "layer": layer, "end": end,
-                              **record}) + "\n")
+            head = "" if doc.ident is None else f"{doc.ident}:".replace("%", "%%")
+            node, edge = head + "N %d %d\n", head + "E %d %d %d %d\n"
+        else:
+            import json
+            record = "" if doc.ident is None else (
+                ', "record": ' + json.dumps(doc.ident).replace("%", "%%"))
+            node = '{"type": "node", "layer": %d, "end": %d' + record + "}\n"
+            edge = ('{"type": "edge", "layer": %d, "end": %d, "pred_layer": %d, '
+                    '"pred_end": %d' + record + "}\n")
+        graph = build_implicit_gap_graph(pattern, doc.sequence)
+        for layer_end in graph.nodes():
+            write(node % layer_end)
         for layer, end, pred in graph.edges():
-            write(json.dumps({"type": "edge", "layer": layer, "end": end,
-                              "pred_layer": layer - 1, "pred_end": pred,
-                              **record}) + "\n")
+            write(edge % (layer, end, layer - 1, pred))
 
 
 def _stats(args, pattern, docs) -> None:

@@ -13,10 +13,11 @@ in one ascending list of ints, so two binary searches find that run; the
 occurrence is relevant iff the run is nonempty.  Two parallel lists hold
 the links as absolute indices, which count every node a layer has ever
 retained; a layer's base is the absolute index of its first retained
-node, so dropping a prefix leaves every link valid.  ``expand`` reads
-the combinations out of these lists.  ``link`` builds them from per-layer
-end lists for the bit engine's blocks and, after ``window_graph``'s
-backward filter, for the chunked reporter's scan blocks.
+node, so dropping a prefix, as only the pruning ``GraphBuilder`` does,
+leaves every link valid.  ``expand`` reads the combinations out of these
+lists.  ``link`` builds them from per-layer end lists for the bit
+engine's blocks and, after ``window_graph``'s backward filter, for the
+chunked reporter's scan blocks.
 
 Gap upper bounds must be bounded here; the decision matcher handles the
 unbounded case.
@@ -41,17 +42,19 @@ RunSink = Callable[[Iterable[Run]], object]
 Graph = list[tuple[list[int], list[int], list[int]]]
 
 
-def expand(layers: Graph, base: list[int],
-           frame: tuple[int, int, int, tuple] | None = None) -> Iterator[Run]:
+def expand(layers: Graph, frame: tuple[int, int, int, tuple] | None = None,
+           base: list[int] | None = None) -> Iterator[Run]:
     """Runs, depth first, of the combinations through a frame ``(layer, lo,
     hi, suffix)``: nodes ``lo..hi`` (absolute indices) of ``layer``, followed
     by the later ends ``suffix``; by default, of every combination.
 
     ``layers`` holds each layer's ends, firsts and lasts, and ``base`` its
-    base, both indexed by layer from 1.  Runs come by the later ends from
-    the last to the first, each ascending.  An explicit stack replaces
-    recursion, so the depth is not limited by the interpreter.
+    base (all 0 if not given), both indexed by layer from 1.  Runs come by
+    the later ends from the last to the first, each ascending.  An explicit
+    stack replaces recursion, so the depth is not limited by the interpreter.
     """
+    if base is None:
+        base = [0] * len(layers)
     if frame is None:
         k = len(layers) - 1
         frame = (k, base[k], base[k] + len(layers[k][0]) - 1, ())
@@ -73,12 +76,14 @@ def expand(layers: Graph, base: list[int],
             push((layer - 1, first[j], last[j], (here[j],) + suffix))
 
 
-def count_paths(layers: Graph, base: list[int]) -> int:
+def count_paths(layers: Graph, base: list[int] | None = None) -> int:
     """Number of combinations ``expand`` would give, without enumerating.
 
     Path counting with prefix sums; exact (Python integers do not
-    overflow), linear in the number of nodes.
+    overflow), linear in the number of nodes; ``base`` as in ``expand``.
     """
+    if base is None:
+        base = [0] * len(layers)
     counts = [1] * len(layers[1][0])
     # each later layer's links index into the layer before, from its base
     for at, (_, firsts, lasts) in zip(base[1:], layers[2:]):
@@ -167,15 +172,6 @@ def max_dual_ranges(gap: GapBounds, next_sublen: int) -> int:
     return next_sublen + gap.upper + 1
 
 
-class GraphCounters:
-    def __init__(self, layers: int) -> None:
-        self.occurrences = self.nodes_created = self.nodes_purged = 0
-        self.peak_live_nodes = 0
-        # index i-2 = most layer-(i-1) nodes at or after the window start of
-        # one layer-i lookup
-        self.peak_dual_ranges = [0] * (layers - 1)
-
-
 class GraphBuilder:
     """Streaming construction of the predecessor graph, and the graph itself.
 
@@ -203,7 +199,8 @@ class GraphBuilder:
         self.on_match = on_match
         # only pruning reads the tail spans
         self._horizons = tail_span_bounds(pattern) if prune else ()
-        self.counters = GraphCounters(k)
+        from .automaton import RunReport  # not loaded by the bit engine
+        self.counters = RunReport(k)
 
     def feed(self, event: OccEvent) -> None:
         pos = event.position

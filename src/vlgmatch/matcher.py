@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from .automaton import OccEvent
+from .automaton import OccEvent, RunReport
 from .pattern import GapBounds, VlgPattern
 
 # ranges are (start, end) tuples; end None = open-ended
@@ -81,13 +81,6 @@ class RangeList:
         return start <= pos and (end is None or pos <= end)
 
 
-class MatchCounters:
-    def __init__(self, layers: int) -> None:
-        self.occurrences = self.appended = self.purged = self.reported = 0
-        self.layer_occurrences = [0] * layers  # index i-1 = layer i's occurrences
-        self.peak_ranges = [0] * (layers - 1)  # index i-2 = peak size of layer i's list
-
-
 class MatcherState:
     """One streaming pass over a text for a fixed pattern."""
 
@@ -100,7 +93,7 @@ class MatcherState:
             layer: RangeList(layer, self._sublen[layer - 1])
             for layer in range(2, self._k + 1)
         }
-        self.counters = MatchCounters(self._k)
+        self.counters = RunReport(self._k)
         self._observer = observer
         self._last_emit = 0
 
@@ -142,14 +135,22 @@ class MatcherState:
         if self._observer is not None:
             self._observer("after", event, self._snapshot())
 
+    def blocks(self, text: bytes | str, emit: Callable[[int], None]
+               ) -> Iterator[tuple[int, list[int], list[int]]]:
+        """Each ``Automaton.scan`` block of ``text``, yielded once its
+        occurrences have gone through ``process_event`` with ``emit``."""
+        automaton = self.pattern.automaton
+        emits, process = automaton._emits, self.process_event
+        for stop, positions, states in automaton.scan(text):
+            for pos, state in zip(positions, states):
+                process(OccEvent(pos, emits[state]), emit)
+            yield stop, positions, states
+
     def ends(self, text: bytes | str) -> Iterator[int]:
         """Scan ``text``, yielding its match end positions, ascending, after
         each scan block, so only one block's ends are held."""
-        automaton = self.pattern.automaton
-        emits, process, found = automaton._emits, self.process_event, []
-        for _, positions, states in automaton.scan(text):
-            for pos, state in zip(positions, states):
-                process(OccEvent(pos, emits[state]), found.append)
+        found: list[int] = []
+        for _ in self.blocks(text, found.append):
             yield from found
             found.clear()
 

@@ -14,9 +14,10 @@ a time, so memory is bounded by the span plus one scan block per layer.
 ``report_on_the_fly`` (``on_the_fly_runs``) streams the text once and
 emits every combination the moment its final occurrence appears, pruning
 nodes that can no longer contribute.  Both give the same combinations in
-the same order, and both require bounded gaps.  ``StreamPlan`` puts the
-paper's engines behind ``bitvec.BitPlan``'s methods ``ends``,
-``runs(text, sink)`` and ``count``, which sums β over the chunked graphs.
+the same order, both require bounded gaps, and each returns a
+``RunReport``.  ``StreamPlan`` puts the paper's engines behind
+``bitvec.BitPlan``'s methods ``ends``, ``runs(text, sink)`` and
+``count``, which sums β over the chunked graphs.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import automaton
-from .gapgraph import (Counts, Graph, GraphBuilder, GraphCounters, Run, RunSink,
-                       count_paths, expand, gap_windows, window_graph)
+from .automaton import RunReport
+from .gapgraph import (Counts, Graph, GraphBuilder, Run, RunSink, count_paths,
+                       expand, gap_windows, window_graph)
 from .matcher import MatcherState
 from .pattern import VlgPattern, ensure_bytes
 
@@ -50,19 +52,12 @@ def _flatten(sink: Sink, runs: Iterable[Run]) -> int:
 
 def expand_combinations(graph: GraphBuilder, sink: Sink) -> int:
     """Emit every combination encoded in ``graph``; returns the count."""
-    return _flatten(sink, expand(graph._layers, graph._base))
+    return _flatten(sink, expand(graph._layers, base=graph._base))
 
 
 def count_combinations(graph: GraphBuilder) -> int:
     """Number of combinations in a finished graph, without enumerating."""
     return count_paths(graph._layers, graph._base)
-
-
-class ChunkCounters:
-    def __init__(self, chunks: int) -> None:
-        self.chunks = chunks  # scan blocks, whether or not they hold a final end
-        self.peak_graphs = 0  # graphs alive at once; 0 if none was built
-        self.emitted = 0
 
 
 def _block_graphs(pattern: VlgPattern,
@@ -90,32 +85,33 @@ def _block_graphs(pattern: VlgPattern,
             del ends[:bisect_right(ends, stop + 1 - span)]
 
 
-def chunked_runs(pattern: VlgPattern, text: bytes | str, sink: RunSink) -> ChunkCounters:
+def chunked_runs(pattern: VlgPattern, text: bytes | str, sink: RunSink) -> RunReport:
     """Hand ``sink`` the runs of each ``_block_graphs`` graph, in ``on_the_fly_runs``' order."""
     data = ensure_bytes(text)
     if not pattern.bounded:
         raise ValueError("combination reporting requires bounded gaps")
-    counters = ChunkCounters(-(-len(data) // automaton._BLOCK))
+    report = RunReport()
+    report.chunks = -(-len(data) // automaton._BLOCK)
     for graph in _block_graphs(pattern, pattern.automaton.scan(data)):
-        counters.peak_graphs = 1
+        report.peak_graphs = 1
         if graph and graph[-1][0]:
-            counters.emitted += count_paths(graph, [0] * len(graph))
-            sink(expand(graph, [0] * len(graph)))
+            report.emitted += count_paths(graph)
+            sink(expand(graph))
         del graph  # before the next one is built
-    return counters
+    return report
 
 
-def report_chunked(pattern: VlgPattern, text: bytes | str, sink: Sink) -> ChunkCounters:
+def report_chunked(pattern: VlgPattern, text: bytes | str, sink: Sink) -> RunReport:
     """``chunked_runs``, one combination at a time."""
     return chunked_runs(pattern, text, partial(_flatten, sink))
 
 
 def on_the_fly_runs(pattern: VlgPattern, text: bytes | str,
-                    sink: RunSink) -> GraphCounters:
+                    sink: RunSink) -> RunReport:
     """Stream once; hand ``sink`` each match's runs as its last end arrives.
 
     Combinations arrive in nondecreasing order of their last end position.
-    Returns the graph builder's counters, whose peak_live_nodes field
+    Returns the graph builder's report, whose peak_live_nodes field
     witnesses the bounded working set.
     """
     below = pattern.num_subpatterns - 1
@@ -125,7 +121,7 @@ def on_the_fly_runs(pattern: VlgPattern, text: bytes | str,
         if first is None:
             sink((((), [end]),))
         else:
-            sink(expand(layers, base, (below, first, last, (end,))))
+            sink(expand(layers, (below, first, last, (end,)), base))
 
     builder = GraphBuilder(pattern, prune=True, on_match=on_match)
     layers, base = builder._layers, builder._base
@@ -134,7 +130,7 @@ def on_the_fly_runs(pattern: VlgPattern, text: bytes | str,
 
 
 def report_on_the_fly(pattern: VlgPattern, text: bytes | str,
-                      sink: Sink) -> GraphCounters:
+                      sink: Sink) -> RunReport:
     """``on_the_fly_runs``, one combination at a time."""
     return on_the_fly_runs(pattern, text, partial(_flatten, sink))
 
@@ -156,20 +152,11 @@ class StreamPlan(NamedTuple):
 
     def count(self, text: bytes | str) -> Counts:
         """``BitPlan.count``'s counts: one scan feeds the matcher, then the chunked graphs."""
-        pattern, data = self.pattern, ensure_bytes(text)
-        state, emits = MatcherState(pattern), pattern.automaton._emits
-        process, ignore = state.process_event, deque(maxlen=0).append
-
-        def matched(blocks):
-            for stop, positions, states in blocks:
-                for pos, at in zip(positions, states):
-                    process(automaton.OccEvent(pos, emits[at]), ignore)
-                yield stop, positions, states
-
-        blocks, beta = matched(pattern.automaton.scan(data)), None
+        pattern, state = self.pattern, MatcherState(self.pattern)
+        blocks, beta = state.blocks(text, deque(maxlen=0).append), None
         if pattern.bounded:
             graphs = _block_graphs(pattern, blocks)
-            beta = sum(count_paths(graph, [0] * len(graph)) for graph in graphs if graph)
+            beta = sum(count_paths(graph) for graph in graphs if graph)
         deque(blocks, maxlen=0)  # an unbounded pattern's scan, for the matcher alone
         counters = state.counters
         return Counts(counters.layer_occurrences, counters.reported, beta,

@@ -107,7 +107,7 @@ def test_stream_example_text_events():
     assert by_layer[2] == [9, 14, 20, 21, 26]
     assert by_layer[3] == [17, 23, 28, 31]
     assert sum(len(ev.layers) for ev in events) == 14
-    assert counters == (31, 0)
+    assert (counters.positions, counters.failure_steps) == (31, 0)
 
 
 def test_duplicate_strings_share_one_event():
@@ -167,7 +167,7 @@ def _assert_stream_equals_naive(strings, text):
                 for layer, s in enumerate(strings, start=1)
                 for end in naive_occurrences(s, text)]
     assert sorted(got) == sorted(expected)
-    assert counters == (len(text), 0)
+    assert (counters.positions, counters.failure_steps) == (len(text), 0)
     return expected
 
 

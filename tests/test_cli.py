@@ -24,6 +24,7 @@ from vlgmatch.automaton import Automaton
 from vlgmatch.bitvec import BitPlan
 from vlgmatch import automaton, bitvec, cli, oracle
 from vlgmatch.cli import InputDocument, ingest_fasta, run
+from vlgmatch.gapgraph import build_implicit_gap_graph
 from vlgmatch.oracle import (brute_force_combinations, brute_force_endpoints,
                              occurrences_by_layer)
 from vlgmatch.pattern import parse_pattern
@@ -667,6 +668,33 @@ def test_match_lines_are_the_library_ends(capsys, tmp_path, argv, fmt, fasta):
             for ident, seq in records.items()}
     assert len(rows[AWKWARD_IDS[0] if fasta else ""]) > 2 * cli._ENDS_PER_WRITE
     assert out == _expected_lines(rows, "end", fmt, fasta)
+
+
+@pytest.mark.parametrize("fasta", [False, True], ids=["plain", "fasta"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_graph_lines_are_the_library_graph(capsys, tmp_path, fmt, fasta):
+    """Each kind of line is one ``%`` template, so an id's "%" is escaped."""
+    path = tmp_path / "in.txt"
+    records = _write_records(path, fasta, 7, (400, 300))
+    expr = "A.{0,4}G.{0,6}T"
+    code, out, err = _run(capsys, ["graph", "-p", expr, "-t", str(path), "--format", fmt])
+    assert (code, err) == (0, "")
+    lines = []
+    for ident, seq in records.items():
+        graph = build_implicit_gap_graph(parse_pattern(expr), seq)
+        rows = [("N", {"type": "node", "layer": layer, "end": end})
+                for layer, end in graph.nodes()]
+        rows += [("E", {"type": "edge", "layer": layer, "end": end,
+                        "pred_layer": layer - 1, "pred_end": pred})
+                 for layer, end, pred in graph.edges()]
+        assert len(rows) > 20
+        for kind, row in rows:
+            if fmt == "json":
+                lines.append(json.dumps(row | ({"record": ident} if fasta else {})))
+            else:
+                values = " ".join(map(str, list(row.values())[1:]))
+                lines.append((f"{ident}:" if fasta else "") + f"{kind} {values}")
+    assert out == "".join(line + "\n" for line in lines)
 
 
 def test_ingest_fasta_basics():

@@ -71,6 +71,8 @@ def test_unbounded_gap_rejected():
         build_implicit_gap_graph(p, b"AB")
     with pytest.raises(ValueError):
         tail_span_bounds(p)
+    with pytest.raises(ValueError):
+        max_dual_ranges(GapBounds(0, None), 1)
 
 
 def test_tail_span_bounds():

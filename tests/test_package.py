@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ import vlgmatch
 from vlgmatch.bitvec import BitPlan
 from vlgmatch.gapgraph import GraphBuilder
 from vlgmatch.matcher import MatcherState
+from vlgmatch.oracle import brute_force_endpoints
 from vlgmatch.pattern import parse_pattern
 from vlgmatch.reporter import report_chunked, report_on_the_fly
 
@@ -63,3 +66,28 @@ def test_counters_keep_what_the_trace_reads():
     assert pruned.nodes_purged >= 0 and pruned.peak_live_nodes > 0
     assert (chunked.chunks, chunked.peak_graphs) == (1, 1)
     assert chunked.emitted == BitPlan(pattern).count(text).beta
+
+
+def test_trace_pass_reads_every_layer(tmp_path):
+    """``perfbench/tracing.py``'s pass, loaded by path, on the worked example."""
+    where = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", where)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    path = tmp_path / "text.txt"
+    path.write_bytes(helpers.EXAMPLE_TEXT + b"\n")
+    common = ["-p", helpers.COMBO_PATTERN, "-t", str(path)]
+    argv = {"match": ["match", *common], "combos": ["combos", *common],
+            "combos_chunked": ["combos", "--engine", "chunked", *common],
+            "stats": ["stats", *common]}
+    result = tracing.traced_pass(tracing.Tracer(), helpers.COMBO_PATTERN,
+                                 str(path), argv)
+    for command, (code, _, err) in result["cli"].items():
+        assert (code, err) == (0, ""), command
+    counts = result["counts"]
+    assert counts["reporter.beta"] == counts["reporter.expanded"] == 17
+    assert counts["reporter.chunked_emitted"] == 17
+    assert counts["automaton.positions"] == 31
+    ends = brute_force_endpoints(parse_pattern(helpers.COMBO_PATTERN),
+                                 helpers.EXAMPLE_TEXT)
+    assert counts["matcher.reported"] == len(ends) == len(result["ends"])

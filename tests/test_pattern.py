@@ -64,6 +64,7 @@ def test_parse_bytes_input():
     ("A.{1,2", "expected '}'"),
     ("A.{,2}B", "expected a number"),
     ("A.{1 2}B", "expected ','"),
+    ("A.{3}C", "expected ',' in gap (at offset 4)"),
     ("A.B", "expected '{' after '.'"),
     ("A.", "expected '{' after '.'"),
     ("A{2}B", "unescaped '{'"),

@@ -101,6 +101,8 @@ def test_unbounded_gaps_rejected_by_both_drivers():
         report_on_the_fly(pattern, helpers.EXAMPLE_TEXT, lambda combo: None)
     with pytest.raises(ValueError):
         report_chunked(pattern, helpers.EXAMPLE_TEXT, lambda combo: None)
+    with pytest.raises(ValueError):
+        bitvec.BitPlan(pattern).runs(helpers.EXAMPLE_TEXT, list)
 
 
 # Scan block sizes the chunked tests sweep: one byte, two small ones and
