@@ -230,8 +230,7 @@ def _oracle_combos(args, pattern, docs) -> None:
 
 def _graph(args, pattern, docs) -> None:
     """Text output is ``N <layer> <endpos>`` per node, then ``E <layer>
-    <endpos> <pred_layer> <pred_endpos>`` per edge, each by (layer, endpos);
-    each kind of line is one ``%`` template."""
+    <endpos> <pred_layer> <pred_endpos>`` per edge, each by (layer, endpos)."""
     from .gapgraph import build_implicit_gap_graph
     write = sys.stdout.write
     for doc in docs:
