@@ -9,13 +9,13 @@ Within a block the most significant bit is the earliest position.  A
 byte's mask is ``int(window.translate(table), 2)``, and a piece ends
 where the AND of its bytes' masks, each shifted by the byte's distance to
 the piece's end, is set.  The forward pass keeps each layer's relevant
-occurrence ends.  A gap ``.{a,b}`` before a piece of length p shifts the
-previous layer's bits a + p positions later and smears them over
-b - a + 1 positions by doubling.  An unbounded gap admits every position
-from the previous layer's earliest relevant end plus a + p on.  The last
-H bits of every layer but the last carry into the next block, H the
-match span less one (with an unbounded gap, the widest bounded gap plus
-the piece after it), enough to reach every occurrence on a match in it.
+occurrence ends.  A gap's window ``(far, near)``, ``VlgPattern.windows``,
+shifts the previous layer's bits near positions later and smears them
+over far - near + 1 positions by doubling.  An unbounded gap admits every
+position from the previous layer's earliest relevant end plus near on.
+The last H bits of every layer but the last carry into the next block,
+H the match span less one (with an unbounded gap, the largest bounded
+far), enough to reach every occurrence on a match in it.
 
 ``BitPlan`` has ``reporter.StreamPlan``'s methods.  ``ends`` reads the
 match ends off the last layer.  ``runs`` passes backward from a block's
@@ -78,9 +78,7 @@ def _carry(pattern: VlgPattern) -> int:
     span = pattern.max_match_span
     if span is not None:
         return span - 1
-    return max((gap.upper + len(after)
-                for gap, after in zip(pattern.gaps, pattern.subpatterns[1:])
-                if gap.upper is not None), default=0)
+    return max(filter(None, (far for far, _ in pattern.windows)), default=0)
 
 
 def _positions(bits: int, stop: int) -> Iterator[int]:
@@ -112,15 +110,10 @@ class BitPlan:
         # per piece, (mask index, distance from the byte to the piece's end)
         self._pieces = [[(index[c], len(piece) - 1 - at)
                          for at, c in enumerate(piece)] for piece in pieces]
-        # per gap, the next piece ends shift to shift + width - 1 positions
-        # after the previous one; width None is unbounded
-        self._gaps = [(gap.lower + len(after),
-                       None if gap.upper is None else gap.upper - gap.lower + 1)
-                      for gap, after in zip(pattern.gaps, pieces[1:])]
+        self._windows = pattern.windows
         self._lead = max(map(len, pieces)) - 1
         self._keep = _carry(pattern)
         self._bounded = pattern.bounded
-        self._pattern = pattern
 
     def _forward(self, data: bytes, occurrences: list[int] | None = None
                  ) -> Iterator[tuple[int, int, list[int]]]:
@@ -131,7 +124,7 @@ class BitPlan:
         cover the block only.  ``occurrences``, if given, gains each
         layer's occurrences in the block, relevant or not.
         """
-        tables, pieces, gaps, lead = self._tables, self._pieces, self._gaps, self._lead
+        tables, pieces, windows, lead = self._tables, self._pieces, self._windows, self._lead
         keep = self._keep
         size = max(MIN_BLOCK, keep, lead + 1)
         tail = (1 << keep) - 1 if size < len(data) else 0
@@ -159,14 +152,14 @@ class BitPlan:
                 bits |= carry[i] << length
                 layers.append(bits)
                 carry[i] = bits & tail
-                shift, width = gaps[i]
-                if width is not None:
-                    reach = _smear_later(bits >> shift, width)
+                far, near = windows[i]
+                if far is not None:
+                    reach = _smear_later(bits >> near, far - near + 1)
                     continue
                 if earliest[i] is None and bits:
                     earliest[i] = stop - bits.bit_length()
                 first = earliest[i]
-                admitted = 0 if first is None else min(length, stop - first - shift)
+                admitted = 0 if first is None else min(length, stop - first - near)
                 reach = (1 << admitted) - 1 if admitted > 0 else 0
             yield stop, length, layers
 
@@ -197,9 +190,9 @@ class BitPlan:
         matches = beta = 0
         # per gap: how far past its cluster's last end a range lives, how
         # far apart ends join one range, and ``matcher.max_live_ranges``
-        ranges = [(None, None, 1) if width is None else
-                  (shift + width - 1, width, 1 + (shift + width - 1) // (width + 1))
-                  for shift, width in self._gaps]
+        ranges = [(None, None, 1) if far is None else
+                  (far, far - near + 1, 1 + far // (far - near + 2))
+                  for far, near in self._windows]
         peaks = [0] * len(ranges)
         for stop, length, layers in self._forward(ensure_bytes(text), occurrences):
             found = layers[-1]
@@ -231,8 +224,8 @@ class BitPlan:
     def _graph(self, stop: int, length: int, layers: list[int]) -> Graph:
         """The block's graph, from ``gapgraph.link``: the occurrences on
         some match ending in the block, each linked to its predecessor run."""
-        from .gapgraph import gap_windows, link
-        windows = gap_windows(self._pattern)
+        from .gapgraph import link
+        windows = self._windows
         found = layers[-1]
         window = length + min(self._keep, stop - length)
         ends = [list(_positions(found, stop))]

@@ -18,10 +18,10 @@ Lines go out with one ``%`` format per run of combinations or batch of
 ends; ``main`` gives stdout a 64 KiB buffer (a terminal stays line-buffered).
 
 Exit status 0 on success (matching nothing is success), 2 on usage errors:
-unparseable pattern, unreadable input, unbounded gaps passed to a
-combination or graph command, or a closed stdout; a closed stderr only
-loses the message.  Where the platform has SIGPIPE, a closed stdout pipe
-ends the process silently by that signal.
+unparseable pattern, unreadable input (a closed stdin among them),
+unbounded gaps passed to a combination or graph command, or a closed
+stdout; a closed stderr only loses the message.  Where the platform has
+SIGPIPE, a closed stdout pipe ends the process silently by that signal.
 """
 
 from __future__ import annotations
@@ -142,6 +142,8 @@ def _read(handle: BinaryIO, size: int = 0) -> bytes:
 
 def _load_documents(args: argparse.Namespace) -> Iterable[InputDocument]:
     if args.text == "-":
+        if sys.stdin is None:  # started with file descriptor 0 closed
+            raise OSError("standard input is closed")
         raw = _read(sys.stdin.buffer)
     else:
         with open(args.text, "rb") as handle:

@@ -8,16 +8,16 @@ is recoverable on demand and the stored graph stays linear in the number
 of occurrences with out-degree at most 2.
 
 A node's compatible predecessors are the previous layer's nodes that end
-inside the gap window before its start.  Each layer keeps its nodes' ends
-in one ascending list of ints, so two binary searches find that run; the
-occurrence is relevant iff the run is nonempty.  Two parallel lists hold
-the links as absolute indices, which count every node a layer has ever
-retained; a layer's base is the absolute index of its first retained
-node, so dropping a prefix, as only the pruning ``GraphBuilder`` does,
-leaves every link valid.  ``expand`` reads the combinations out of these
-lists.  ``link`` builds them from per-layer end lists for the bit
-engine's blocks and, after ``window_graph``'s backward filter, for the
-chunked reporter's scan blocks.
+inside its gap's window, ``VlgPattern.windows``.  Each layer keeps its
+nodes' ends in one ascending list of ints, so two binary searches find
+that run; the occurrence is relevant iff the run is nonempty.  Two
+parallel lists hold the links as absolute indices, which count every
+node a layer has ever retained; a layer's base is the absolute index of
+its first retained node, so dropping a prefix, as only the pruning
+``GraphBuilder`` does, leaves every link valid.  ``expand`` reads the
+combinations out of these lists.  ``link`` builds them from per-layer
+end lists for the bit engine's blocks and, after ``window_graph``'s
+backward filter, for the chunked reporter's scan blocks.
 
 Gap upper bounds must be bounded here; the decision matcher handles the
 unbounded case.
@@ -93,15 +93,8 @@ def count_paths(layers: Graph, base: list[int] | None = None) -> int:
     return sum(counts)
 
 
-def gap_windows(pattern: VlgPattern) -> list[tuple[int, int]]:
-    """Per layer from the second, ``(far, near)``: how far before a node's
-    end its predecessors end, farthest first.  Requires bounded gaps."""
-    return [(len(piece) + gap.upper, len(piece) + gap.lower)
-            for gap, piece in zip(pattern.gaps, pattern.subpatterns[1:])]
-
-
 def window_graph(layers: list[list[int]], finals: list[int],
-                 windows: list[tuple[int, int]]) -> Graph | None:
+                 windows: tuple[tuple[int, int], ...]) -> Graph | None:
     """``link``'s graph of the matches ending at ``finals``, one scan block's
     final-layer ends, from every earlier layer's ascending ends; None if a
     layer has no end on one.  Backward, a layer keeps its ends in a kept
@@ -119,7 +112,7 @@ def window_graph(layers: list[list[int]], finals: list[int],
     return link(kept[::-1], windows)
 
 
-def link(ends: list[list[int]], windows: list[tuple[int, int]]) -> Graph:
+def link(ends: list[list[int]], windows: tuple[tuple[int, int], ...]) -> Graph:
     """``expand``'s layers, base 0, from each layer's ascending ends: two
     bisects link a node to its predecessor run, or drop it if it is empty."""
     preds = ends[0]
@@ -156,7 +149,7 @@ def tail_span_bounds(pattern: VlgPattern) -> tuple[int, ...]:
     """
     if not pattern.bounded:
         raise ValueError("tail spans require bounded gaps")
-    fars = [far for far, _ in gap_windows(pattern)]
+    fars = [far for far, _ in pattern.windows]
     return tuple(accumulate(reversed(fars), initial=0))[::-1]
 
 
@@ -190,7 +183,7 @@ class GraphBuilder:
         if not pattern.bounded:
             raise ValueError("gap graph requires bounded gap upper bounds")
         self._k = k = pattern.num_subpatterns
-        self._window = gap_windows(pattern)
+        self._window = pattern.windows
         # per layer from 1: the retained nodes and the first one's absolute index
         self._layers = [([], [], []) for _ in range(k + 1)]
         self._base = [0] * (k + 1)

@@ -60,16 +60,15 @@ class RangeList:
         return j
 
     def append_merge(self, start: int, end: int | None) -> None:
-        """Add [start, end] at the tail; starts arrive nondecreasing."""
+        """Add [start, end] at the tail; starts arrive nondecreasing.  One gap
+        feeds a list, so its ends are all bounded or all None."""
         ranges = self.ranges
         if ranges:
             last_start, last_end = ranges[-1]
             if last_end is None:
                 return  # open-ended tail already covers everything later
             if start <= last_end + 1:
-                if end is None:
-                    ranges[-1] = (last_start, None)
-                elif end > last_end:
+                if end > last_end:
                     ranges[-1] = (last_start, end)
                 return
         ranges.append((start, end))

@@ -2,10 +2,11 @@
 
 Everything here favours directness over speed: occurrence scanning compares
 slices, relevance is a forward pass straight from the definition, and
-combination enumeration backtracks over occurrence lists.  Inputs are
-capped so misuse fails loudly instead of hanging a test run.
+combination enumeration backtracks over the relevant ends, without
+recursion.  Inputs are capped so misuse fails loudly instead of hanging a
+test run.
 
-Shares no code with the streaming engines beyond the pattern type.
+Shares no code with the engines beyond the pattern type.
 """
 
 from __future__ import annotations
@@ -94,12 +95,11 @@ def combination_count(pattern: VlgPattern, text: bytes | str) -> int:
 
 def brute_force_combinations(pattern: VlgPattern,
                              text: bytes | str) -> set[tuple[int, ...]]:
-    """Every match combination, by backtracking over occurrence lists.
-
-    Occurrences that cannot reach the final layer are pruned first, so the
-    search never dead-ends.  Raises ValueError when the text or the
-    (pre-counted) output would exceed the safety caps.
-    """
+    """Every match combination, by backtracking with an explicit stack from
+    each relevant final end through the relevant ends in each predecessor
+    window.  Every relevant end chains back to layer 1, so the search never
+    dead-ends.  Raises ValueError when the text or the (pre-counted) output
+    would exceed the safety caps."""
     text = ensure_bytes(text)
     if len(text) > MAX_TEXT:
         raise ValueError(f"text of {len(text)} bytes exceeds oracle cap {MAX_TEXT}")
@@ -108,38 +108,18 @@ def brute_force_combinations(pattern: VlgPattern,
         raise ValueError(f"{total} combinations exceed oracle cap {MAX_COMBINATIONS}")
     relevant = brute_force_relevant(pattern, text)
     k = pattern.num_subpatterns
-    layers: list[list[int]] = [relevant[-1]]
-    for i in range(k - 2, -1, -1):
-        nxt = layers[0]
-        gap = pattern.gaps[i]
-        sublen = len(pattern.subpatterns[i + 1])
-        keep = []
-        for end in relevant[i]:
-            lo = end + gap.lower + sublen
-            hi_idx = (len(nxt) if gap.upper is None
-                      else bisect_right(nxt, end + gap.upper + sublen))
-            if bisect_left(nxt, lo) < hi_idx:
-                keep.append(end)
-        layers.insert(0, keep)
     out: set[tuple[int, ...]] = set()
-    combo = [0] * k
-
-    def extend(i: int, end: int) -> None:
-        combo[i] = end
-        if i == k - 1:
-            out.add(tuple(combo))
-            return
-        gap = pattern.gaps[i]
-        sublen = len(pattern.subpatterns[i + 1])
-        ends = layers[i + 1]
-        lo_idx = bisect_left(ends, end + gap.lower + sublen)
-        hi_idx = (len(ends) if gap.upper is None
-                  else bisect_right(ends, end + gap.upper + sublen))
-        for j in range(lo_idx, hi_idx):
-            extend(i + 1, ends[j])
-
-    for end in layers[0]:
-        extend(0, end)
+    stack = [(end,) for end in relevant[-1]]
+    while stack:
+        suffix = stack.pop()
+        i = k - len(suffix)  # suffix[0]'s layer, counted from 0
+        if i == 0:
+            out.add(suffix)
+            continue
+        lo, hi = _pred_window(suffix[0], len(pattern.subpatterns[i]), pattern.gaps[i - 1])
+        prev = relevant[i - 1]
+        stack += [(end, *suffix)
+                  for end in prev[bisect_left(prev, lo):bisect_right(prev, hi)]]
     return out
 
 

@@ -140,6 +140,15 @@ class VlgPattern(_Value):
         return None if total is None else self.literal_length + total
 
     @cached_property
+    def windows(self) -> tuple[tuple[int | None, int], ...]:
+        """Per gap, ``(far, near)``: how far after a piece's end the next
+        piece can end, farthest first; ``far`` is None for an unbounded gap.
+        A gap ``.{a,b}`` before a piece of length p gives ``(b + p, a + p)``."""
+        return tuple((None if gap.upper is None else gap.upper + len(piece),
+                      gap.lower + len(piece))
+                     for gap, piece in zip(self.gaps, self.subpatterns[1:]))
+
+    @cached_property
     def automaton(self) -> Automaton:
         """Scanner for the pieces, built on first use and shared after."""
         from .automaton import build_automaton  # automaton imports this module

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from . import automaton
 from .automaton import RunReport
 from .gapgraph import (Counts, Graph, GraphBuilder, Run, RunSink, count_paths,
-                       expand, gap_windows, window_graph)
+                       expand, window_graph)
 from .matcher import MatcherState
 from .pattern import VlgPattern, ensure_bytes
 
@@ -67,7 +67,7 @@ def _block_graphs(pattern: VlgPattern,
     not grow with the block.  After each block, every layer's end list
     drops the ends no later match can reach, those at or before
     ``stop + 1 - span``, so it holds one span and one block of ends."""
-    span, windows = pattern.max_match_span, gap_windows(pattern)
+    span, windows = pattern.max_match_span, pattern.windows
     *layers, finals = lists = [[] for _ in range(pattern.num_subpatterns)]
     # per emitting state, the appends of its layers' lists
     table = {state: tuple(lists[layer - 1].append for layer in emitted)

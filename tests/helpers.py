@@ -12,7 +12,7 @@ from typing import Callable, Iterable
 import vlgmatch
 from vlgmatch.bitvec import BitPlan
 from vlgmatch.gapgraph import Run
-from vlgmatch.oracle import combination_count
+from vlgmatch.oracle import brute_force_combinations, combination_count
 from vlgmatch.pattern import GapBounds, VlgPattern
 
 # The worked example used throughout: a 31-character DNA text and a
@@ -77,6 +77,15 @@ def report_bits(pattern: VlgPattern, text: bytes,
                 sink((first, *suffix))
 
     BitPlan(pattern).runs(text, flatten)
+
+
+def report_oracle(pattern: VlgPattern, text: bytes,
+                  sink: Callable[[tuple[int, ...]], None]) -> None:
+    """The oracle's combinations in the engines' order: by last end, then
+    by the earlier ends from the last to the first."""
+    for combo in sorted(brute_force_combinations(pattern, text),
+                        key=lambda combo: combo[::-1]):
+        sink(combo)
 
 
 def make_pattern(subs: list[bytes | str],

@@ -862,6 +862,17 @@ def test_closed_stdout_exits_2(tmp_path):
     assert (result.returncode, result.stderr) == (2, "vlgmatch: standard output is closed\n")
 
 
+@pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor in the child")
+def test_closed_stdin_exits_2():
+    result = subprocess.run(
+        [sys.executable, "-m", "vlgmatch", "match", "-p", helpers.EXAMPLE_PATTERN,
+         "-t", "-"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=helpers.module_cli_env(), preexec_fn=lambda: os.close(0), timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "vlgmatch: standard input is closed\n")
+
+
 def _read_only_stderr() -> None:
     """Descriptor 2 reused by a file open for reading, as a shell wrapper
     that runs the interpreter with stderr closed can leave it."""
@@ -994,3 +1005,20 @@ def test_grid_slice_prints_the_oracle_bytes(capsys, monkeypatch, tmp_path, block
             assert (_run(capsys, ["match", *tail])
                     == _run(capsys, ["oracle", "match", *tail])), tail
     assert printed >= 10
+
+
+def test_deep_pattern_through_every_command(capsys, tmp_path):
+    """1,500 concatenated pieces cycling through 20 letters, over the text
+    they spell: one combination, deeper than the recursion limit."""
+    pieces = [chr(65 + i % 20) for i in range(1500)]
+    path = tmp_path / "t.txt"
+    path.write_text("".join(pieces))
+    tail = ["-p", ".{0,0}".join(pieces), "-t", str(path)]
+    want = _run(capsys, ["oracle", "combos", *tail])
+    assert want == (0, ",".join(map(str, range(1, 1501))) + "\n", "")
+    for engine in ([], ["--engine", "onthefly"], ["--engine", "chunked"]):
+        assert _run(capsys, ["combos", *engine, *tail]) == want, engine
+    assert _run(capsys, ["match", *tail]) == _run(capsys, ["oracle", "match", *tail])
+    for command in ("stats", "graph"):
+        code, _, err = _run(capsys, [command, *tail])
+        assert (code, err) == (0, ""), command

@@ -121,6 +121,13 @@ def test_gap_bounds_and_patterns_are_values():
     assert pattern == VlgPattern((b"A", b"CC"), (gap,))
     assert hash(pattern) == hash(VlgPattern((b"A", b"CC"), (gap,)))
     assert "max_match_span" not in repr(pattern)
+    # so is each gap's window: how far after a piece's end the next ends
+    assert parse_pattern("A.{6,7}CC.{2,6}GT").windows == ((9, 8), (8, 4))
+    assert parse_pattern("A.{2,*}GT").windows == ((None, 4),)
+    assert pattern.windows == ((8, 4),)
+    assert pattern == VlgPattern((b"A", b"CC"), (gap,))
+    assert hash(pattern) == hash(VlgPattern((b"A", b"CC"), (gap,)))
+    assert "windows" not in repr(pattern)
 
 
 @pytest.mark.parametrize("value, field", [

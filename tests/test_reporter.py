@@ -446,7 +446,7 @@ def test_many_combinations_per_match():
 
 
 @pytest.mark.parametrize("report", [report_on_the_fly, report_chunked,
-                                    helpers.report_bits])
+                                    helpers.report_bits, helpers.report_oracle])
 def test_pattern_deeper_than_the_recursion_limit(report):
     """1,200 concatenated pieces: one combination, 1,200 layers deep.
 
